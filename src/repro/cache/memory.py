@@ -35,11 +35,6 @@ class MemoryController:
         #: FIFO of not-yet-issued requests (deque: O(1) popleft)
         self._waiting: Deque[Tuple[MemMsg, int]] = deque()
         self._next_issue = 0
-        #: batch-kernel due hint (repro.engine.kernels): earliest cycle
-        #: ``step`` could make progress, recomputed by the kernel after
-        #: every step it executes and zeroed on arrival (and on kernel
-        #: resume) -- stale-low is safe, a premature step is a no-op.
-        self.kdue = 0
         self._seq = 0
         self.reads = 0
         self.writes = 0
@@ -53,7 +48,6 @@ class MemoryController:
         msg = pkt.payload
         assert pkt.klass is PacketClass.MEMORY
         self._waiting.append((msg, now))
-        self.kdue = 0
 
     def _issue(self, msg: MemMsg, now: int) -> None:
         start = max(now, self._next_issue)

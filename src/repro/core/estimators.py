@@ -110,7 +110,7 @@ class RegionalCongestionEstimator(CongestionEstimator):
         local = self.local
         max_value = self.max_value
         for router in routers:
-            value = router.queued_flits()
+            value = router.n_flits
             busy = router.max_output_residual(now)
             local[router.node] = min(max_value, value + busy)
         # One aggregation step per update: equal weighting of the local

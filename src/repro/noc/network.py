@@ -22,7 +22,10 @@ output-link busy expiry, earliest ``ready_at`` among parked entries,
 earliest downstream VC drain, or the bank-aware arbiter's release hint.
 Lower bounds are safe: a spurious early scan is a no-op, and every state
 change that could enable earlier progress (a new entry arriving, an
-upstream VC freeing, a WB estimate update) pokes the hint back down.
+upstream VC freeing, a WB estimate update, a bank dequeue) pokes the
+hint back down.  A router refused only by a full bank queue sleeps
+until that queue pops (:meth:`Network.dequeue_hook`) instead of
+rescanning every cycle.
 
 Cycles delayed-by-arbiter packets spend parked while their router sleeps
 are booked in ``_parked`` and flushed into the arbiter's per-cycle
@@ -164,6 +167,11 @@ class Network:
         #: the active-set loop (kept for equivalence testing and as the
         #: perf baseline).
         self.use_reference_loop = False
+        #: nodes whose flow control refuses only while a queue is full
+        #: and whose owner calls the :meth:`dequeue_hook` callback on
+        #: every pop; a router refused there sleeps instead of
+        #: rescanning every cycle.
+        self._wakes_on_dequeue: List[bool] = [False] * topo.n_nodes
         #: invoked with the node id whenever a source NI queue pops at
         #: least one packet (NI-stalled cores re-register on this).
         self.on_source_drain: Optional[Callable[[int, int], None]] = None
@@ -172,19 +180,6 @@ class Network:
             self._tick_period = None
         else:
             self._tick_period = getattr(estimator, "tick_period", 1)
-        #: attached :class:`repro.engine.kernels.LaneKernel`, or None for
-        #: the scalar machine.  While attached, ``step`` routes through
-        #: ``_route_cycle_kernel`` and the vectorized estimator tick.
-        self._kern = None
-        #: kernel-lane mirror of every router's ``out_busy_until`` -- an
-        #: ``(n_nodes, N_PORTS)`` int64 row of the group busy array (set
-        #: only for lanes whose estimator reads link residuals), or None.
-        self._kbusy = None
-        #: node-indexed list of the BankController whose queue is the
-        #: ejection flow control at that node (None elsewhere); the
-        #: kernel's blocked-port due gate polls its queue depth directly.
-        self._bank_at = None
-
     # ------------------------------------------------------------------
     # Endpoint API
     # ------------------------------------------------------------------
@@ -227,13 +222,6 @@ class Network:
 
     def step(self, now: int) -> None:
         self._inject_sources(now)
-        kern = self._kern
-        if kern is not None:
-            self._route_cycle_kernel(now)
-            if self._tick_period is not None and \
-                    now % self._tick_period == 0:
-                kern.tick(now)
-            return
         if self.use_reference_loop:
             self._route_cycle_reference(now)
         else:
@@ -278,10 +266,16 @@ class Network:
     def _route_cycle(self, now: int) -> None:
         """Active-set route cycle: scan only due routers/occupied ports.
 
-        Scans the same (router, port) pairs the dense reference loop
-        would act on, in the same order, so every arbitration decision
-        and its side effects are identical; all other pairs are provably
-        no-ops until the recorded wake hints come due.
+        Makes the same arbitration decisions as the dense reference loop,
+        in the same order: it scans every (router, port) pair whose
+        state could have changed, and each scan re-derives the router's
+        ``next_active`` wake hint as a lower bound on the next cycle any
+        entry there could move.  Skipped scans are provably no-ops.
+
+        A router whose only pending work is a LOCAL candidate refused by
+        a dequeue-signalled flow control (a full bank queue) sleeps with
+        ``blocked`` set instead of rescanning every cycle; the queue's
+        next pop wakes it for the following cycle (:meth:`dequeue_hook`).
         """
         arbiter = self.arbiter
         choose = arbiter.choose
@@ -292,6 +286,7 @@ class Network:
         routers = self.routers
         neighbor_node = self.neighbor_node
         flow_at = self._flow_at
+        sleeps_blocked = self._wakes_on_dequeue
         parked_map = self._parked
         mask_ports = MASK_PORTS
         opposite = OPPOSITE
@@ -318,7 +313,13 @@ class Network:
             out_busy_until = router.out_busy_until
             neighbors = neighbor_node[node]
             wake = never
-            forwarded = False
+            blocked_sleep = False
+            # The scan owns the hint from here: it folds a complete bound
+            # below, and anything that fires *during* the scan (a WB ack
+            # delivered by this router's own LOCAL forward poking this
+            # very node) re-lowers it; the final assignment takes the
+            # minimum so such pokes survive.
+            router.next_active = never
             for out_port in mask_ports[router.port_mask]:
                 entries = out_entries[out_port]
                 busy = out_busy_until[out_port]
@@ -357,169 +358,10 @@ class Network:
                 del cand_index[:]
                 min_ready = never
                 blocked = False
-                if out_port == local:
-                    accept = flow_at[node]
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
-                        if ra <= now:
-                            if accept is None or accept(e[2]):
-                                candidates.append(e)
-                                cand_index.append(i)
-                            else:
-                                blocked = True
-                        elif ra < min_ready:
-                            min_ready = ra
-                else:
-                    for i, e in enumerate(entries):
-                        ra = e[3]  # == e[2].ready_at for live entries
-                        if ra <= now:
-                            candidates.append(e)
-                            cand_index.append(i)
-                        elif ra < min_ready:
-                            min_ready = ra
-                if parked_mask and (
-                        parked_mask >> ((node << 3) | out_port)) & 1:
-                    parked_mask &= ~(1 << ((node << 3) | out_port))
-                    self._parked_mask = parked_mask
-                    parked = parked_map.pop((node, out_port))
-                    gap = now - parked[0] - 1
-                    if gap > 0:
-                        arbiter.accrue_parked(parked[1], gap)
-                if not candidates:
-                    # A flow-control refusal has no timer: the sink's
-                    # predicate may open at any cycle, so re-arm densely.
-                    if blocked:
-                        wake = now + 1
-                    elif min_ready < wake:
-                        wake = min_ready
-                    continue
-                winner = node_choose(node, out_port, candidates, now)
-                if winner is None:
-                    # Every candidate heads to a predicted-busy bank: park
-                    # them and sleep until the arbiter's release bound.
-                    parked_map[(node, out_port)] = (now, tuple(candidates))
-                    parked_mask |= 1 << ((node << 3) | out_port)
-                    self._parked_mask = parked_mask
-                    hint = arbiter.release_hint(
-                        node, out_port, candidates, now)
-                    if hint < wake:
-                        wake = hint
-                    if min_ready < wake:
-                        wake = min_ready
-                    continue
-                forward(router, downstream, out_port,
-                        candidates[winner], cand_index[winner], now)
-                forwarded = True
-            router.next_active = now + 1 if forwarded else wake
-
-    def _route_cycle_kernel(self, now: int) -> None:
-        """Kernel-mode route cycle: the active-set scan plus blocked-port
-        sleeping.
-
-        Identical decision sequence to :meth:`_route_cycle` -- it runs
-        every scan that could change state, in the same order, and
-        assigns ``next_active`` the exact value the scalar scan would, so
-        the simulator's cycle-skip schedule never diverges.  What it adds
-        is a second, private wake hint (``kwake``/``kblocked``): a router
-        whose only pending work is a flow-control-refused LOCAL candidate
-        is *not* rescanned densely (the scalar loop re-arms ``now + 1``
-        because the sink predicate has no timer); instead the refusing
-        bank is recorded and the gate polls its queue depth, which is the
-        entire refusal predicate for ejection flow control (COHERENCE /
-        ACK / MC-bound packets are never refused).  Skipped scans are
-        provably no-ops: parked-delay accrual is gap-based
-        (``accrue_parked``), and every event that could enable earlier
-        progress lowers ``kwake`` at the same sites that lower
-        ``next_active``.
-        """
-        arbiter = self.arbiter
-        choose = arbiter.choose
-        choose_at = getattr(arbiter, "choose_at", None)
-        forward = self._forward
-        routers = self.routers
-        neighbor_node = self.neighbor_node
-        flow_at = self._flow_at
-        bank_at = self._bank_at
-        parked_map = self._parked
-        mask_ports = MASK_PORTS
-        opposite = OPPOSITE
-        local = LOCAL
-        never = NEVER
-        n_vcs = self.config.n_vcs
-        parked_mask = self._parked_mask
-        candidates: list = self._scratch_cand
-        cand_index: list = self._scratch_idx
-        active = self._active_routers
-        if not active:
-            return
-        for node in sorted(active):
-            router = routers[node]
-            if router.n_resident == 0:
-                continue
-            if router.kwake > now:
-                kb = router.kblocked
-                if kb is None or len(kb.queue) >= kb.queue_limit:
-                    continue
-                router.kblocked = None
-            node_choose = choose_at[node] if choose_at is not None else choose
-            out_entries = router.out_entries
-            out_busy_until = router.out_busy_until
-            neighbors = neighbor_node[node]
-            wake = never
-            kwake = never
-            kblocked_new = None
-            forwarded = False
-            # The scan owns the kernel hint from here: it re-derives a
-            # complete bound below, and anything that fires *during* the
-            # scan (a WB ack delivered by this router's own LOCAL
-            # forward poking this very node) re-lowers it; the scan-end
-            # assignment takes the minimum so such pokes survive.
-            router.kwake = never
-            for out_port in mask_ports[router.port_mask]:
-                entries = out_entries[out_port]
-                busy = out_busy_until[out_port]
-                if busy > now:
-                    if busy < wake:
-                        wake = busy
-                    if busy < kwake:
-                        kwake = busy
-                    continue
-                if out_port == local:
-                    downstream = None
-                else:
-                    down_node = neighbors[out_port]
-                    if down_node is None:  # pragma: no cover
-                        raise RoutingError(
-                            f"packet routed off-mesh at node {node}"
-                        )
-                    downstream = routers[down_node]
-                    d_pkt = downstream.vc_pkt
-                    d_free = downstream.vc_free_at
-                    base = opposite[out_port] * n_vcs
-                    vc_at = never
-                    for s in range(base, base + n_vcs):
-                        if d_pkt[s] is None:
-                            t = d_free[s]
-                            if t <= now:
-                                vc_at = now
-                                break
-                            if t < vc_at:
-                                vc_at = t
-                    if vc_at > now:
-                        if vc_at < wake:
-                            wake = vc_at
-                        if vc_at < kwake:
-                            kwake = vc_at
-                        continue
-                del candidates[:]
-                del cand_index[:]
-                min_ready = never
-                blocked = False
                 if len(entries) == 1:
                     # Single-occupant port -- the common case on a
-                    # lightly loaded mesh; same decisions as the
-                    # general loops below without the enumerate
-                    # machinery (kernel loop only).
+                    # lightly loaded mesh; same decisions as the general
+                    # loops below without the enumerate machinery.
                     e = entries[0]
                     ra = e[3]  # == e[2].ready_at for live entries
                     if ra > now:
@@ -563,26 +405,24 @@ class Network:
                     if gap > 0:
                         arbiter.accrue_parked(parked[1], gap)
                 if not candidates:
-                    if blocked:
-                        # Scalar semantics: re-arm densely.  Kernel: the
-                        # refusal only flips when the bank queue shrinks
-                        # (polled by the due gate) or a recorded wake
-                        # event fires -- including a not-yet-ready
-                        # COHERENCE/ACK packet becoming ready, which a
-                        # full queue never refuses, hence the min_ready
-                        # fold below.
+                    if blocked and not sleeps_blocked[node]:
+                        # A refusal without a dequeue signal has no
+                        # timer: the predicate may open at any cycle.
                         wake = now + 1
-                        kblocked_new = bank_at[node]
-                        if min_ready < kwake:
-                            kwake = min_ready
-                    else:
-                        if min_ready < wake:
-                            wake = min_ready
-                        if min_ready < kwake:
-                            kwake = min_ready
+                        continue
+                    if blocked:
+                        # A signalled refusal flips only on the queue's
+                        # next pop, which wakes the router; a not-yet-
+                        # ready COHERENCE/ACK packet, which a full queue
+                        # never refuses, is bounded by min_ready.
+                        blocked_sleep = True
+                    if min_ready < wake:
+                        wake = min_ready
                     continue
                 winner = node_choose(node, out_port, candidates, now)
                 if winner is None:
+                    # Every candidate heads to a predicted-busy bank: park
+                    # them and sleep until the arbiter's release bound.
                     parked_map[(node, out_port)] = (now, tuple(candidates))
                     parked_mask |= 1 << ((node << 3) | out_port)
                     self._parked_mask = parked_mask
@@ -592,45 +432,25 @@ class Network:
                         wake = hint
                     if min_ready < wake:
                         wake = min_ready
-                    if hint < kwake:
-                        kwake = hint
-                    if min_ready < kwake:
-                        kwake = min_ready
                     continue
                 forward(router, downstream, out_port,
                         candidates[winner], cand_index[winner], now)
-                forwarded = True
-                # Post-forward bound for the kernel hint only: entries
-                # remaining on this port cannot move before the link
-                # frees (ready losers) or before min_ready (future
-                # arrivals); an empty port contributes nothing.  The
-                # scalar ``next_active`` below still takes ``now + 1``,
-                # so the executed-cycle schedule is untouched -- the
-                # scalar post-forward rescans this hint skips are
-                # no-ops: every occupied port resolved this scan and
-                # folded its own wake bound.
+                # Entries left on this port cannot move before the link
+                # frees (ready losers or refused ejections) or, when only
+                # future arrivals remain, before both the link frees and
+                # the earliest of them is ready; an empty port adds
+                # nothing.
                 if entries:
                     busy = out_busy_until[out_port]
-                    if len(candidates) > 1 or blocked:
-                        # Ready losers (or refused ejections) wait only
-                        # for the link to free.
-                        bound = busy
-                    elif busy > min_ready:
-                        # Only future arrivals remain: nothing can move
-                        # before BOTH the link frees and the earliest
-                        # entry is ready.
+                    if len(candidates) > 1 or blocked or busy > min_ready:
                         bound = busy
                     else:
                         bound = min_ready
-                    if bound < kwake:
-                        kwake = bound
-            # ``next_active`` mirrors the scalar loop's unconditional
-            # overwrite exactly; the kernel hint takes the minimum of
-            # the scan's folded bound and any mid-scan re-lowering.
-            router.next_active = now + 1 if forwarded else wake
-            if kwake < router.kwake:
-                router.kwake = kwake
-            router.kblocked = kblocked_new
+                    if bound < wake:
+                        wake = bound
+            if wake < router.next_active:
+                router.next_active = wake
+            router.blocked = blocked_sleep
 
     def _route_cycle_reference(self, now: int) -> None:
         """Dense reference loop: poll every router and port each cycle.
@@ -696,7 +516,7 @@ class Network:
         router.vc_pkt[slot] = None
         router.vc_free_at[slot] = now + pkt.flits
         router.n_resident -= 1
-        router.kflits -= pkt.flits
+        router.n_flits -= pkt.flits
         entry[2] = None  # drop the packet reference before pooling
         router._entry_pool.append(entry)
         node = router.node
@@ -710,8 +530,6 @@ class Network:
                 t = now + pkt.flits
                 if t < up.next_active:
                     up.next_active = t
-                if t < up.kwake:
-                    up.kwake = t
 
         trace = self.trace
         combiner = self._combiner_at[(node << 3) | out_port]
@@ -726,9 +544,6 @@ class Network:
         else:
             serialization = pkt.flits
         router.out_busy_until[out_port] = now + serialization
-        kb = self._kbusy
-        if kb is not None:
-            kb[node, out_port] = now + serialization
 
         if out_port == LOCAL:
             if router.n_resident == 0:
@@ -798,26 +613,19 @@ class Network:
         downstream.out_entries[out_p].append(entry)
         downstream.port_mask |= 1 << out_p
         downstream.n_resident += 1
-        downstream.kflits += pkt.flits
+        downstream.n_flits += pkt.flits
         if ready_at < downstream.next_active:
             downstream.next_active = ready_at
-        if ready_at < downstream.kwake:
-            downstream.kwake = ready_at
         # The accept consumed a downstream VC, which can flip the
-        # bank-aware arbiter's VC-pressure release.  The dense loop sees
-        # that this very cycle when the downstream router is scanned
-        # after this one (higher node id), else the next cycle.
-        t = now if down_node > node else now + 1
-        if t < downstream.next_active:
-            downstream.next_active = t
-        # Kernel hint: the pressure flip only matters where a parked
-        # arbitration could be released by it; everywhere else the
-        # ``ready_at`` fold above already bounds the next real action
-        # (ready candidates are never idle without a pending wake, and
-        # the scan a pressure poke forces is a provable no-op there).
-        if t < downstream.kwake and (
-                self._parked_mask >> (down_node << 3)) & 0x7F:
-            downstream.kwake = t
+        # bank-aware arbiter's VC-pressure release of a port parked
+        # there.  The dense loop sees that this very cycle when the
+        # downstream router is scanned after this one (higher node id),
+        # else the next cycle.  Without a parked port the ``ready_at``
+        # fold above already bounds the next real action.
+        if (self._parked_mask >> (down_node << 3)) & 0x7F:
+            t = now if down_node > node else now + 1
+            if t < downstream.next_active:
+                downstream.next_active = t
         self._active_routers.add(down_node)
         if router.n_resident == 0:
             self._active_routers.discard(node)
@@ -827,12 +635,31 @@ class Network:
     # ------------------------------------------------------------------
 
     def poke_router(self, node: int, cycle: int) -> None:
-        """Lower a router's wake hint (estimate changes, bank dequeues)."""
+        """Lower a router's wake hint (estimate changes, fault remaps)."""
         router = self.routers[node]
         if cycle < router.next_active:
             router.next_active = cycle
-        if cycle < router.kwake:
-            router.kwake = cycle
+
+    def dequeue_hook(self, node: int) -> Callable[[int], None]:
+        """Mark ``node``'s flow control as dequeue-signalled.
+
+        The caller promises that the predicate registered for ``node``
+        refuses only while a queue is full, and calls the returned hook
+        with ``now`` on every pop of that queue.  A router refused there
+        then sleeps instead of rescanning every cycle, and the hook wakes
+        it for the cycle after space appears (components step after the
+        network within a cycle).
+        """
+        self._wakes_on_dequeue[node] = True
+        router = self.routers[node]
+
+        def wake(now: int) -> None:
+            if router.blocked:
+                t = now + 1
+                if t < router.next_active:
+                    router.next_active = t
+
+        return wake
 
     def next_event_cycle(self, now: int) -> int:
         """Lower bound (> ``now``) on the next cycle the network can act.
@@ -844,30 +671,12 @@ class Network:
         if period is not None:
             nxt = now + period - now % period
         routers = self.routers
-        if self._kern is not None:
-            # Kernel mode: the private wake hint bounds the next cycle a
-            # scan could change state, so the event scheduler skips the
-            # dense ``now + 1`` re-arms entirely (a blocked router sleeps
-            # until its bank's dequeue poke, a post-forward router until
-            # its link frees).  Soundness: every event that could enable
-            # earlier progress lowers ``kwake`` at the same dual-write
-            # sites that lower ``next_active``, and the scans (hence
-            # steps) this skips are provable no-ops, so simulated state
-            # and all counters are untouched -- only ``executed_cycles``
-            # shrinks.
-            for node in self._active_routers:
-                router = routers[node]
-                if router.n_resident:
-                    t = router.kwake
-                    if t < nxt:
-                        nxt = t
-        else:
-            for node in self._active_routers:
-                router = routers[node]
-                if router.n_resident:
-                    t = router.next_active
-                    if t < nxt:
-                        nxt = t
+        for node in self._active_routers:
+            router = routers[node]
+            if router.n_resident:
+                t = router.next_active
+                if t < nxt:
+                    nxt = t
         for node in self._nonempty_sources:
             queue = self.source_queues[node]
             if not queue:

@@ -57,7 +57,7 @@ class Router:
     __slots__ = (
         "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
         "out_entries", "port_mask", "n_resident", "next_active",
-        "_entry_pool", "kwake", "kblocked", "kflits",
+        "_entry_pool", "blocked", "n_flits",
     )
 
     def __init__(self, node: int, n_vcs: int):
@@ -77,19 +77,13 @@ class Router:
         self.next_active = 0
         #: recycled entry lists (allocation pooling for the hot loop)
         self._entry_pool: List[list] = []
-        #: kernel-mode wake hint (see ``Network._route_cycle_kernel``).
-        #: Unlike ``next_active`` it is *not* escalated to ``now + 1`` on
-        #: a flow-control refusal -- the refusing bank is recorded in
-        #: ``kblocked`` instead and the kernel loop polls its queue depth
-        #: directly, so blocked routers sleep instead of rescanning.
-        #: Maintained (lowered) at every site that lowers ``next_active``.
-        self.kwake = 0
-        #: the BankController whose full queue refused a ready LOCAL
-        #: candidate on the last kernel scan, or None
-        self.kblocked = None
-        #: incremental mirror of :meth:`queued_flits` (the RCA tick
-        #: kernel folds it without walking the candidate queues)
-        self.kflits = 0
+        #: True while the router sleeps on a ready LOCAL candidate that a
+        #: dequeue-signalled flow control refused (see
+        #: ``Network.dequeue_hook``); re-derived by every scan
+        self.blocked = False
+        #: incremental count of the flits :meth:`queued_flits` walks
+        #: (the RCA tick reads it; the invariant guard cross-checks it)
+        self.n_flits = 0
 
     # ------------------------------------------------------------------
 
@@ -158,11 +152,9 @@ class Router:
         self.out_entries[out_port].append(entry)
         self.port_mask |= 1 << out_port
         self.n_resident += 1
-        self.kflits += pkt.flits
+        self.n_flits += pkt.flits
         if arrival < self.next_active:
             self.next_active = arrival
-        if arrival < self.kwake:
-            self.kwake = arrival
 
     def remove_entry_at(self, out_port: int, index: int, now: int) -> None:
         """Unpark the entry at ``index`` of an output queue and free its
@@ -179,7 +171,7 @@ class Router:
         self.vc_pkt[slot] = None
         self.vc_free_at[slot] = now + entry[2].flits
         self.n_resident -= 1
-        self.kflits -= entry[2].flits
+        self.n_flits -= entry[2].flits
         entry[2] = None  # drop the packet reference before pooling
         self._entry_pool.append(entry)
 

@@ -2,7 +2,7 @@
 
 Perf regressions are only diagnosable after the fact if the facts were
 written down.  Every ``run_sweep`` appends one schema-versioned record
--- spec digest, backend, worker count, cache behaviour, wall time, span
+-- spec digest, worker count, cache behaviour, wall time, span
 rollups and host info -- to ``~/.cache/repro-sweeps/ledger.jsonl``
 (same root as the result cache; ``$REPRO_LEDGER_DIR`` overrides,
 ``REPRO_LEDGER=0`` disables).
@@ -51,7 +51,6 @@ REQUIRED_FIELDS: Dict[str, tuple] = {
     "ts": (int, float),
     "spec_digest": (str,),
     "fingerprint": (str,),
-    "backend": (str,),
     "workers": (int,),
     "points": (int,),
     "cache_hits": (int,),
@@ -133,7 +132,6 @@ def build_record(grid_spec: Dict, fingerprint: str, stats,
         "spec_digest": spec_digest,
         "grid": grid_spec,
         "fingerprint": fingerprint[:16],
-        "backend": stats.backend,
         "workers": stats.workers,
         "points": stats.points,
         "cache_hits": stats.cache_hits,
@@ -153,10 +151,6 @@ def build_record(grid_spec: Dict, fingerprint: str, stats,
             "platform": sys.platform,
         },
     }
-    if stats.backend == "batch":
-        record["lane_groups"] = stats.lane_groups
-        record["lanes_packed"] = stats.lanes_packed
-        record["scalar_fallbacks"] = stats.scalar_fallbacks
     return record
 
 
@@ -293,7 +287,6 @@ def record_from_bench(payload: Dict, path: str) -> Dict:
         raise LookupError(f"{path} has no sweep_throughput section")
     return {
         "run_id": f"bench:{os.path.basename(path)}",
-        "backend": sweep.get("backend", "scalar"),
         "workers": sweep.get("workers", 1),
         "points": sweep.get("points", 0),
         "wall_seconds": (
@@ -330,10 +323,10 @@ def diff_records(a: Dict, b: Dict,
     lines: List[str] = []
     failures: List[str] = []
     lines.append(f"baseline A: {a.get('run_id', '?')} "
-                 f"(backend={a.get('backend')}, workers={a.get('workers')}, "
+                 f"(workers={a.get('workers')}, "
                  f"points={a.get('points')})")
     lines.append(f"candidate B: {b.get('run_id', '?')} "
-                 f"(backend={b.get('backend')}, workers={b.get('workers')}, "
+                 f"(workers={b.get('workers')}, "
                  f"points={b.get('points')})")
     lines.append(f"{'metric':<22} {'A':>12} {'B':>12} {'delta':>9}")
     for field, lower_better in _DIFF_FIELDS:
@@ -378,14 +371,14 @@ def diff_records(a: Dict, b: Dict,
 def format_entries(records: Sequence[Dict]) -> str:
     """Aligned listing for ``repro.cli ledger``."""
     lines = [
-        f"{'run_id':<13} {'when':<20} {'backend':<7} {'wkrs':>4} "
+        f"{'run_id':<13} {'when':<20} {'wkrs':>4} "
         f"{'points':>6} {'hits':>5} {'sim':>5} {'wall_s':>8} {'pts/s':>8}"
     ]
     for record in records:
         when = time.strftime("%Y-%m-%d %H:%M:%S",
                              time.localtime(record["ts"]))
         lines.append(
-            f"{record['run_id']:<13} {when:<20} {record['backend']:<7} "
+            f"{record['run_id']:<13} {when:<20} "
             f"{record['workers']:>4} {record['points']:>6} "
             f"{record['cache_hits']:>5} {record['simulated']:>5} "
             f"{record['wall_seconds']:>8.2f} "

@@ -12,7 +12,8 @@ Checks, every ``check_period`` executed cycles:
   the output-queue entry count and ``n_resident`` must agree; every
   entry's ``(in_port, vc)`` slot must hold exactly that entry's packet
   (a mismatch is a credit leak or a double allocation); ``port_mask``
-  must mirror queue occupancy.
+  must mirror queue occupancy; the incremental ``n_flits`` counter
+  (the RCA estimator's input) must equal the flits the queues hold.
 * **in-flight packet accounting** -- the network's monotonic
   ``injected - delivered`` must equal NI-queued plus router-resident
   packets.
@@ -170,6 +171,7 @@ class InvariantGuard:
             occupied = sum(
                 1 for pkt in router.vc_pkt if pkt is not None)
             entries_total = 0
+            flits = 0
             mask = 0
             seen_slots: Dict[int, bool] = {}
             for port, entries in enumerate(router.out_entries):
@@ -177,6 +179,7 @@ class InvariantGuard:
                     mask |= 1 << port
                 entries_total += len(entries)
                 for entry in entries:
+                    flits += entry[2].flits
                     slot = entry[0] * router.n_vcs + entry[1]
                     if slot in seen_slots:
                         self._violation(
@@ -204,6 +207,12 @@ class InvariantGuard:
                     now, "conservation",
                     f"router {router.node}: port_mask "
                     f"{router.port_mask:#x} != occupancy {mask:#x}",
+                )
+            if flits != router.n_flits:
+                self._violation(
+                    now, "conservation",
+                    f"router {router.node}: n_flits={router.n_flits} "
+                    f"but {flits} flits queued",
                 )
             resident_total += router.n_resident
         queued = sum(len(q) for q in net.source_queues)

@@ -61,11 +61,6 @@ class CMPSimulator:
         #: attached Observability session (repro.obs), or None -- the
         #: simulator never reads it except at scheduling/run boundaries
         self._obs = None
-        #: batch-backend divergence seam (repro.engine.kernels): while
-        #: ``cycle`` is below this bound the lockstep driver advances
-        #: the lane with the scalar machine even when a vectorized
-        #: kernel is attached, then re-synchronizes.  0 on plain runs.
-        self.force_scalar_until = 0
 
         self.topo = Mesh3D(config.mesh_width)
         self.region_map = build_region_map(config, self.topo)
@@ -142,6 +137,8 @@ class CMPSimulator:
                 node, self._make_bank_sink(b),
                 flow_control=self._make_bank_flow_control(b),
             )
+            # The bank flow control refuses only on a full bank queue.
+            self.banks[b].on_dequeue = self.network.dequeue_hook(node)
 
         if prewarm:
             self.prewarm()

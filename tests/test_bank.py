@@ -174,6 +174,22 @@ class TestFlowControl:
             stt.bank.on_packet(pkt, 0)
         assert not stt.bank.can_accept(pkt)
 
+    @pytest.mark.parametrize("port_failed", [False, True])
+    def test_every_queue_pop_calls_on_dequeue(self, stt, port_failed):
+        """Queue space is the ejection flow-control predicate, so each
+        pop -- a service start or a dead-port timeout redirect -- must
+        signal it (a router refused by the full queue sleeps on it)."""
+        pops = []
+        stt.bank.on_dequeue = pops.append
+        if port_failed:
+            stt.bank.fail_port(0, until=10_000, redirect_after=16)
+        for block in range(3):
+            stt.deliver("request", read_txn(block=block))
+        stt.tick(400)
+        assert not stt.bank.queue
+        assert len(pops) == 3
+        assert stt.bank.redirected_reads == (3 if port_failed else 0)
+
     def test_coherence_always_accepted(self, stt):
         coh = Packet(PacketClass.COHERENCE, 0, stt.bank.node, 1,
                      inject_cycle=0)

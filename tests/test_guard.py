@@ -143,6 +143,17 @@ class TestConservationViolations:
         with pytest.raises(GuardViolationError):
             sim.guard.check(sim.cycle)
 
+    def test_flit_counter_drift_is_flagged(self):
+        """The incremental flit counter the RCA tick reads must match
+        the flits the candidate queues hold."""
+        sim = _sim_with_traffic()
+        router = _occupied_router(sim)
+        router.n_flits += 1
+        with pytest.raises(GuardViolationError) as err:
+            sim.guard.check(sim.cycle)
+        assert err.value.diagnostic["check"] == "conservation"
+        assert "n_flits" in err.value.diagnostic["detail"]
+
     def test_guard_error_hierarchy(self):
         assert issubclass(GuardViolationError, GuardError)
         assert issubclass(DeadlockError, GuardError)

@@ -5,7 +5,7 @@ arrays, entry-list pooling, precomputed routing tables, per-node arbiter
 dispatch, and the active-set route loop -- must be observationally
 invisible.  These tests pin that down three ways:
 
-* a fingerprint matrix: four benchmark schemes x {dense, event}
+* a fingerprint matrix: all six paper schemes x {dense, event}
   scheduler x {optimized, reference} route loop must produce the same
   ``SimulationResult`` bit for bit,
 * identity-based entry removal (``Router.remove_entry`` must never
@@ -26,13 +26,15 @@ from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
 from tests.conftest import small_config
 
-#: The four benchmarked schemes of the perf harness's lineage: SRAM
-#: baseline, naive STT-RAM, region-restricted STT-RAM, and the paper's
-#: full WB-estimator configuration.
+#: Every paper scheme: SRAM baseline, naive STT-RAM, region-restricted
+#: STT-RAM, and bank-aware arbitration under each estimator (SS, RCA,
+#: WB).
 SCHEMES = [
     Scheme.SRAM_64TSB,
     Scheme.STTRAM_64TSB,
     Scheme.STTRAM_4TSB,
+    Scheme.STTRAM_4TSB_SS,
+    Scheme.STTRAM_4TSB_RCA,
     Scheme.STTRAM_4TSB_WB,
 ]
 

@@ -1,5 +1,7 @@
 """Tests for repro.noc.network and repro.noc.router."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.arbitration import RoundRobinArbiter
@@ -132,6 +134,47 @@ class TestFlowControl:
         for now in range(60, 120):
             net.step(now)
         assert len(delivered) == 1
+
+    def test_router_refused_by_full_queue_sleeps_until_dequeue(self):
+        """A dequeue-signalled refusal puts the router to sleep: it is
+        not rescanned while the queue stays full, and the pop's hook
+        re-arms it for exactly the next cycle."""
+        cfg, topo, net = build_network()
+        dst = topo.bank_node(0)
+        queue = deque(["resident"])  # a one-entry queue, already full
+        polls = []
+        delivered = []
+
+        def flow_control(pkt):
+            polls.append(pkt)
+            return len(queue) < 1
+
+        net.register_sink(dst, lambda p, t: delivered.append(t),
+                          flow_control=flow_control)
+        on_dequeue = net.dequeue_hook(dst)
+        net.inject(Packet(PacketClass.REQUEST, 0, dst, 1, inject_cycle=0), 0)
+        router = net.routers[dst]
+        now = 0
+        while not polls:
+            net.step(now)
+            now += 1
+        refused_at = now - 1
+        # The refused LOCAL candidate is the router's only work.
+        assert router.n_resident == 1 and router.blocked
+        assert router.next_active > refused_at + 1
+        assert net.next_event_cycle(refused_at) > refused_at + 1
+        pop_at = refused_at + 40
+        for now in range(refused_at + 1, pop_at + 1):
+            net.step(now)
+        assert len(polls) == 1  # never rescanned while the queue is full
+        assert not delivered
+        # The bank pops after the network has stepped at ``pop_at``.
+        queue.popleft()
+        on_dequeue(pop_at)
+        assert router.next_active == pop_at + 1
+        net.step(pop_at + 1)
+        assert delivered == [pop_at + 1]
+        assert len(polls) == 2
 
     def test_source_queue_limit(self):
         cfg, topo, net = build_network()

@@ -13,6 +13,8 @@ The engine's contract (see ``repro/sim/parallel.py``):
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -186,6 +188,23 @@ class TestDeterminism:
         sweep = run_sweep(tiny_grid(), workers=4)
         assert sweep.apps() == ["x264", "hmmer"]
         assert sweep.schemes() == ["SRAM-64TSB", "MRAM-4TSB-WB"]
+
+    def test_sweep_imports_no_numpy(self):
+        """The simulator and the sweep engine are pure standard
+        library: a sweep must not pull numpy into the process."""
+        script = (
+            "import sys\n"
+            "from repro.sim import Scheme, SweepGrid, run_sweep\n"
+            "run_sweep(SweepGrid(apps=['x264'], schemes=[Scheme.SRAM_64TSB],"
+            " cycles=100, warmup=40, overrides={'mesh_width': 4,"
+            " 'capacity_scale': 1 / 64}), ledger=False)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        package = os.path.dirname(os.path.dirname(parallel.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The contracts under test (see ``repro/obs/telemetry.py``,
 ``repro/obs/ledger.py``, ``repro/obs/progress.py``):
 
 * telemetry is a **pure reader** -- the sweep fingerprint is
-  unperturbed across {scalar, batch} x {workers 1, 2} x {cold, warm}
-  with recording on, and merged worker counters equal the serial run's;
+  unperturbed across {workers 1, 2} x {cold, warm} with recording on,
+  and merged worker counters equal the serial run's;
 * worker metric snapshots merge losslessly (counters sum, histograms
   bucket-merge, gauges gain per-worker labels);
 * the merged Chrome trace validates, carries one track per worker
@@ -32,12 +32,6 @@ from repro.obs.telemetry import (
 from repro.sim.config import Scheme
 from repro.sim.parallel import SweepRunStats
 from repro.sim.sweep import SweepGrid, run_sweep
-
-needs_numpy = pytest.mark.skipif(
-    not __import__("repro.engine", fromlist=["batch_available"]
-                   ).batch_available(),
-    reason="batch backend needs numpy",
-)
 
 FAST = {"mesh_width": 4, "capacity_scale": 1 / 64}
 
@@ -175,7 +169,8 @@ class TestSpanRecorder:
     def test_taxonomy_is_documented(self):
         assert "sweep.run" in SPAN_NAMES
         assert "chunk.queue_wait" in SPAN_NAMES
-        assert "batch.lane_build" in SPAN_NAMES
+        assert "engine.simulate" in SPAN_NAMES
+        assert not [n for n in SPAN_NAMES if n.startswith("batch.")]
 
 
 class TestWorkerTelemetry:
@@ -205,47 +200,37 @@ class TestWorkerTelemetry:
 # ----------------------------------------------------------------------
 
 
-def run_cell(grid, backend, workers, cache_dir=None, telemetry=None):
+def run_cell(grid, workers, cache_dir=None, telemetry=None):
     stats = SweepRunStats()
-    sweep = run_sweep(grid, workers=workers, backend=backend,
+    sweep = run_sweep(grid, workers=workers,
                       cache=cache_dir is not None, cache_dir=cache_dir,
                       stats=stats, telemetry=telemetry, ledger=False)
     return sweep, stats
 
 
 class TestPureReader:
-    """Telemetry on == telemetry off, across backends/workers/cache."""
+    """Telemetry on == telemetry off, across workers/cache."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        sweep, _stats = run_cell(tiny_grid(), "scalar", 1)
+        sweep, _stats = run_cell(tiny_grid(), 1)
         return sweep.fingerprint()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scalar_fingerprint_unperturbed(self, baseline, workers):
         tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "scalar", workers,
+        sweep, _stats = run_cell(tiny_grid(), workers,
                                  telemetry=tel)
         assert sweep.fingerprint() == baseline
         assert len(tel.spans()) > 0
 
-    @needs_numpy
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_fingerprint_unperturbed(self, baseline, workers):
-        tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "batch", workers,
-                                 telemetry=tel)
-        assert sweep.fingerprint() == baseline
-        rollup = tel.rollups()
-        assert "batch.measure" in rollup
-
     def test_cold_then_warm_cache_unperturbed(self, baseline, tmp_path):
         cache = str(tmp_path / "cache")
-        cold, cold_stats = run_cell(tiny_grid(), "scalar", 2,
+        cold, cold_stats = run_cell(tiny_grid(), 2,
                                     cache_dir=cache,
                                     telemetry=SweepTelemetry())
         warm_tel = SweepTelemetry()
-        warm, warm_stats = run_cell(tiny_grid(), "scalar", 2,
+        warm, warm_stats = run_cell(tiny_grid(), 2,
                                     cache_dir=cache, telemetry=warm_tel)
         assert cold.fingerprint() == warm.fingerprint() == baseline
         assert warm_stats.cache_hits == warm_stats.points
@@ -253,7 +238,7 @@ class TestPureReader:
 
     def test_fingerprint_never_hashes_meta(self, baseline):
         tel = SweepTelemetry()
-        sweep, _stats = run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        sweep, _stats = run_cell(tiny_grid(), 1, telemetry=tel)
         assert "telemetry" in sweep.meta
         stripped = type(sweep)(sweep.grid_spec, sweep.data, meta={})
         assert stripped.fingerprint() == sweep.fingerprint() == baseline
@@ -262,10 +247,10 @@ class TestPureReader:
 class TestMergedMetrics:
     def test_pool_counters_equal_serial_totals(self):
         serial_tel = SweepTelemetry()
-        _sweep, serial_stats = run_cell(tiny_grid(), "scalar", 1,
+        _sweep, serial_stats = run_cell(tiny_grid(), 1,
                                         telemetry=serial_tel)
         pool_tel = SweepTelemetry()
-        _sweep, pool_stats = run_cell(tiny_grid(), "scalar", 2,
+        _sweep, pool_stats = run_cell(tiny_grid(), 2,
                                       telemetry=pool_tel)
         serial_points = serial_tel.registry.counter("worker.points").value
         pool_points = pool_tel.registry.counter("worker.points").value
@@ -275,14 +260,14 @@ class TestMergedMetrics:
 
     def test_workers_active_labeled_per_pid(self):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         active = tel.registry.labeled_gauge("sweep.workers.active")
         assert active.labels() == [f"w{pid}" for pid in tel.workers()]
         assert len(active) >= 1
 
     def test_meta_payload_shape(self):
         tel = SweepTelemetry()
-        sweep, stats = run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        sweep, stats = run_cell(tiny_grid(), 1, telemetry=tel)
         meta = sweep.meta["telemetry"]
         assert meta["points"]["total"] == meta["points"]["done"]
         assert meta["points"]["sim"] == stats.simulated
@@ -298,7 +283,7 @@ class TestMergedMetrics:
 class TestChromeTrace:
     def test_two_worker_trace_validates(self, tmp_path):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         path = str(tmp_path / "sweep-trace.json")
         tel.write_chrome(path)
         slices, worker_tracks, errors = validate_chrome_trace(path)
@@ -308,7 +293,7 @@ class TestChromeTrace:
 
     def test_rollup_covers_wall_time(self):
         tel = SweepTelemetry()
-        _sweep, stats = run_cell(tiny_grid(), "scalar", 2, telemetry=tel)
+        _sweep, stats = run_cell(tiny_grid(), 2, telemetry=tel)
         run_rollup = tel.rollups()["sweep.run"]
         assert run_rollup["count"] == 1
         # The sweep.run span covers the same window wall_seconds
@@ -318,7 +303,7 @@ class TestChromeTrace:
 
     def test_serial_trace_dedupes_parent_track(self):
         tel = SweepTelemetry()
-        run_cell(tiny_grid(), "scalar", 1, telemetry=tel)
+        run_cell(tiny_grid(), 1, telemetry=tel)
         doc = tel.chrome_document()
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert len(metas) == len({e["pid"] for e in metas})
@@ -345,7 +330,6 @@ def fake_stats(**kw):
     stats.simulated = kw.pop("simulated", 4)
     stats.workers = kw.pop("workers", 1)
     stats.wall_seconds = kw.pop("wall_seconds", 2.0)
-    stats.backend = kw.pop("backend", "scalar")
     for name, value in kw.items():
         setattr(stats, name, value)
     return stats
@@ -460,7 +444,7 @@ class TestLedgerDiff:
 
     def test_bench_pseudo_record(self, tmp_path):
         payload = {"sweep_throughput": {
-            "points": 6, "workers": 4, "backend": "scalar",
+            "points": 6, "workers": 4,
             "serial_points_per_sec": 12.0, "warm_hit_rate": 1.0,
         }}
         record = record_from_bench(payload, "BENCH_perf.json")
@@ -618,6 +602,40 @@ class TestCLI:
         assert main(["ledger", "validate", "--path", path]) == 1
         assert "LEDGER VIOLATION" in capsys.readouterr().err
 
+    def test_records_from_the_batch_backend_era_still_load(
+            self, tmp_path, capsys):
+        """Records written while a ``batch`` backend existed carry
+        ``backend``/``lane_groups``/``lanes_packed``; they must still
+        list, filter, validate and diff next to current records."""
+        from repro.cli import main
+
+        old = {
+            "schema": 1, "run_id": "0123456789ab", "ts": 1700000000.0,
+            "spec_digest": "abcdef0123456789", "grid": {"apps": ["x264"]},
+            "fingerprint": "f" * 16, "backend": "batch", "workers": 1,
+            "points": 4, "cache_hits": 0, "cache_misses": 4,
+            "cache_evictions": 0, "resumed_points": 0, "simulated": 4,
+            "retried": 0, "wall_seconds": 2.0, "points_per_sec": 2.0,
+            "hit_rate": 0.0, "spans": {}, "host": {"cpus": 2},
+            "lane_groups": 1, "lanes_packed": 4, "scalar_fallbacks": 0,
+        }
+        new = fake_record(points_per_sec=2.1)
+        assert "backend" not in new
+        assert validate_record(old) == [] and validate_record(new) == []
+        path = str(tmp_path / "ledger.jsonl")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(old) + "\n")
+        RunLedger(path=path).append(new)
+        assert main(["ledger", "--path", path]) == 0
+        out = capsys.readouterr().out
+        assert old["run_id"] in out and new["run_id"] in out
+        assert main(["ledger", "--path", path, "--backend", "batch"]) == 0
+        out = capsys.readouterr().out
+        assert old["run_id"] in out and new["run_id"] not in out
+        assert main(["ledger", "validate", "--path", path]) == 0
+        assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
+        assert "points_per_sec" in capsys.readouterr().out
+
     def test_report_compare(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -637,7 +655,7 @@ class TestCLI:
 
         bench = tmp_path / "BENCH_perf.json"
         bench.write_text(json.dumps({"sweep_throughput": {
-            "points": 4, "workers": 1, "backend": "scalar",
+            "points": 4, "workers": 1,
             "serial_points_per_sec": 10.0, "warm_hit_rate": 1.0,
         }}))
         path = str(tmp_path / "ledger.jsonl")
