@@ -14,7 +14,7 @@ estimate the congestion component of the parent->child latency:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.noc.packet import Packet, PacketClass
 from repro.obs.events import EV_EST_UPDATE
@@ -87,6 +87,10 @@ class RegionalCongestionEstimator(CongestionEstimator):
     into a regional value clamped to 8 bits; a parent estimates the
     congestion toward a child as half the sum of the aggregated values at
     the intermediate node and at the child itself.
+
+    ``local`` and ``agg`` are flat node-indexed lists; ``agg`` alternates
+    between two buffers, the one read this tick being the one written
+    the tick before.
     """
 
     name = "rca"
@@ -96,43 +100,64 @@ class RegionalCongestionEstimator(CongestionEstimator):
         self.update_period = max(1, config.rca_update_period)
         self.tick_period = self.update_period
         self.max_value = 255  # 8-bit side-band wires
-        self.local: Dict[int, float] = {}
-        self.agg: Dict[int, float] = {}
+        self.local: List[int] = []
+        self.agg: List[float] = []
         self.network = None
         #: bank -> (intermediate node, child node) cached per parent query.
         self._path_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
+    def bind(self, network) -> None:
+        self.network = network
+        n_nodes = network.topo.n_nodes
+        self._routers = network.routers
+        self.local = [0] * n_nodes
+        self.agg = [0.0] * n_nodes
+        #: the buffer the next tick writes; None until the first tick,
+        #: which averages the local values themselves
+        self._spare: Optional[List[float]] = None
+        # Aggregation plan, grouped by neighbour count: a two-layer mesh
+        # of width >= 2 has only degree-3 corners, degree-4 edges and
+        # degree-5 interior nodes.
+        plan: Dict[int, List[tuple]] = {3: [], 4: [], 5: []}
+        for node, neigh in enumerate(network.neighbors_of):
+            plan[len(neigh)].append((node, *neigh))
+        self._plan3, self._plan4, self._plan5 = plan[3], plan[4], plan[5]
+
     def tick(self, now: int) -> None:
         if self.network is None or now % self.update_period:
             return
-        topo = self.network.topo
-        routers = self.network.routers
         local = self.local
         max_value = self.max_value
-        for router in routers:
+        for node, router in enumerate(self._routers):
             value = router.n_flits
-            busy = router.max_output_residual(now)
-            local[router.node] = min(max_value, value + busy)
+            busy = router.link_busy
+            if busy > now:
+                value += busy - now
+            local[node] = value if value < max_value else max_value
         # One aggregation step per update: equal weighting of the local
         # value and the mean of the neighbours' previous aggregates gives
-        # the coarse regional view of the original RCA proposal.
-        prev = dict(self.agg) if self.agg else local
-        prev_get = prev.get
-        local_get = local.get
-        agg = self.agg
-        neighbors_of = self.network.neighbors_of
-        for node in range(topo.n_nodes):
-            neigh = neighbors_of[node]
-            if neigh:
-                total = 0.0
-                for n in neigh:
-                    total += prev_get(n, 0.0)
-                downstream = total / len(neigh)
-            else:  # pragma: no cover - every mesh node has neighbours
-                downstream = 0.0
-            agg[node] = min(
-                max_value, 0.5 * local_get(node, 0.0) + 0.5 * downstream
-            )
+        # the coarse regional view of the original RCA proposal.  The
+        # neighbour sums run left to right in ``neighbors_of`` order and
+        # divide by the degree, so every value is bit-identical to a
+        # plain accumulate-then-divide loop (``sum()`` is not: it may
+        # compensate).  Averages of values <= 255 stay <= 255, so only
+        # the local value needs the 8-bit clamp.
+        prev = self.agg
+        agg = self._spare
+        if agg is None:
+            prev = local
+            agg = [0.0] * len(local)
+        for node, a, b, c in self._plan3:
+            agg[node] = 0.5 * local[node] + 0.5 * (
+                (prev[a] + prev[b] + prev[c]) / 3)
+        for node, a, b, c, d in self._plan4:
+            agg[node] = 0.5 * local[node] + 0.5 * (
+                (prev[a] + prev[b] + prev[c] + prev[d]) / 4)
+        for node, a, b, c, d, e in self._plan5:
+            agg[node] = 0.5 * local[node] + 0.5 * (
+                (prev[a] + prev[b] + prev[c] + prev[d] + prev[e]) / 5)
+        self._spare = self.agg
+        self.agg = agg
 
     def on_topology_change(self, banks, now: int) -> None:
         drop = set(banks)
@@ -162,10 +187,10 @@ class RegionalCongestionEstimator(CongestionEstimator):
         nodes = self._path_nodes(parent_node, bank)
         if not nodes:
             return 0
-        agg_get = self.agg.get
+        agg = self.agg
         total = 0.0
         for n in nodes:
-            total += agg_get(n, 0.0)
+            total += agg[n]
         return int(min(self.max_value, total / 2.0))
 
 

@@ -543,7 +543,7 @@ class Network:
                 })
         else:
             serialization = pkt.flits
-        router.out_busy_until[out_port] = now + serialization
+        busy_until = router.out_busy_until[out_port] = now + serialization
 
         if out_port == LOCAL:
             if router.n_resident == 0:
@@ -563,6 +563,10 @@ class Network:
                 sink(pkt, now)
             return
 
+        # Link ports raise the RCA busy horizon (a max: a short forward
+        # on one port can end before a longer one on another).
+        if busy_until > router.link_busy:
+            router.link_busy = busy_until
         arb_forward = self._arb_fwd_at[node]
         if arb_forward is not None:
             arb_forward(node, pkt, now, out_port)

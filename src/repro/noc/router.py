@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.noc.packet import Packet
-from repro.noc.topology import LOCAL, N_PORTS
+from repro.noc.topology import N_PORTS
 
 #: Sentinel "never" wake cycle for the event-driven scheduler.
 NEVER = 1 << 60
@@ -57,7 +57,7 @@ class Router:
     __slots__ = (
         "node", "n_vcs", "vc_pkt", "vc_free_at", "out_busy_until",
         "out_entries", "port_mask", "n_resident", "next_active",
-        "_entry_pool", "blocked", "n_flits",
+        "_entry_pool", "blocked", "n_flits", "link_busy",
     )
 
     def __init__(self, node: int, n_vcs: int):
@@ -84,6 +84,11 @@ class Router:
         #: incremental count of the flits :meth:`queued_flits` walks
         #: (the RCA tick reads it; the invariant guard cross-checks it)
         self.n_flits = 0
+        #: max ``out_busy_until`` over the six link ports (not LOCAL):
+        #: the RCA tick's residual link-busy horizon, raised by every
+        #: link forward; per-port busy times only grow, so the running
+        #: max is exact (the invariant guard cross-checks it)
+        self.link_busy = 0
 
     # ------------------------------------------------------------------
 
@@ -201,7 +206,7 @@ class Router:
         self.n_resident -= 1
 
     # ------------------------------------------------------------------
-    # Introspection used by the RCA estimator and the stats collector
+    # Introspection used by the epoch sampler
     # ------------------------------------------------------------------
 
     def queued_flits(self) -> int:
@@ -219,18 +224,6 @@ class Router:
                 count += len(entries)
             return count
         return len(self.out_entries[out_port])
-
-    def max_output_residual(self, now: int) -> int:
-        """Largest remaining output-link busy time across ports."""
-        residual = 0
-        busy = self.out_busy_until
-        for port in range(N_PORTS):
-            if port == LOCAL:
-                continue
-            left = busy[port] - now
-            if left > residual:
-                residual = left
-        return residual
 
     def occupancy(self) -> float:
         """Fraction of input VCs currently holding a packet."""

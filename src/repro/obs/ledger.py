@@ -251,17 +251,24 @@ class RunLedger:
     # ------------------------------------------------------------------
 
     def resolve(self, ref: str) -> Dict:
-        """A record by run-id prefix or signed index (``-1`` = newest)."""
+        """A record by run-id prefix or signed index (``-1`` = newest).
+
+        An unsigned ref that prefixes exactly one run id names that run
+        (run ids are hex, so a prefix may be all digits); any other ref
+        is read as an index.
+        """
         records = self.entries()
         if not records:
             raise LookupError(f"ledger {self.path} holds no runs")
-        try:
-            index = int(ref)
-        except ValueError:
+        matches = []
+        if not ref.startswith(("-", "+")):
             matches = [r for r in records
                        if r["run_id"].startswith(ref)]
             if len(matches) == 1:
                 return matches[0]
+        try:
+            index = int(ref)
+        except ValueError:
             raise LookupError(
                 f"run id {ref!r} matches {len(matches)} ledger records"
             )

@@ -13,7 +13,8 @@ Checks, every ``check_period`` executed cycles:
   entry's ``(in_port, vc)`` slot must hold exactly that entry's packet
   (a mismatch is a credit leak or a double allocation); ``port_mask``
   must mirror queue occupancy; the incremental ``n_flits`` counter
-  (the RCA estimator's input) must equal the flits the queues hold.
+  and the ``link_busy`` horizon (the RCA estimator's inputs) must equal
+  the flits the queues hold and the latest link-port busy time.
 * **in-flight packet accounting** -- the network's monotonic
   ``injected - delivered`` must equal NI-queued plus router-resident
   packets.
@@ -35,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import DeadlockError, GuardViolationError
 from repro.noc.router import NEVER
+from repro.noc.topology import LOCAL
 from repro.obs.events import EV_GUARD_DEADLOCK, EV_GUARD_VIOLATION
 
 
@@ -213,6 +215,15 @@ class InvariantGuard:
                     now, "conservation",
                     f"router {router.node}: n_flits={router.n_flits} "
                     f"but {flits} flits queued",
+                )
+            link_busy = max(
+                busy for port, busy in enumerate(router.out_busy_until)
+                if port != LOCAL)
+            if link_busy != router.link_busy:
+                self._violation(
+                    now, "conservation",
+                    f"router {router.node}: link_busy={router.link_busy} "
+                    f"but the link ports are busy until {link_busy}",
                 )
             resident_total += router.n_resident
         queued = sum(len(q) for q in net.source_queues)

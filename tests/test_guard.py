@@ -154,6 +154,17 @@ class TestConservationViolations:
         assert err.value.diagnostic["check"] == "conservation"
         assert "n_flits" in err.value.diagnostic["detail"]
 
+    def test_link_busy_drift_is_flagged(self):
+        """The RCA tick's link-busy horizon must equal the latest busy
+        time over the link ports."""
+        sim = _sim_with_traffic()
+        router = sim.network.routers[0]
+        router.link_busy += 1
+        with pytest.raises(GuardViolationError) as err:
+            sim.guard.check(sim.cycle)
+        assert err.value.diagnostic["check"] == "conservation"
+        assert "link_busy" in err.value.diagnostic["detail"]
+
     def test_guard_error_hierarchy(self):
         assert issubclass(GuardViolationError, GuardError)
         assert issubclass(DeadlockError, GuardError)

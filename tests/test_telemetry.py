@@ -399,6 +399,18 @@ class TestLedger:
         with pytest.raises(LookupError):
             ledger.resolve("zzzzzz")
 
+    def test_resolve_prefers_an_all_digit_run_id_prefix(self, tmp_path):
+        ledger = RunLedger(path=str(tmp_path / "ledger.jsonl"))
+        first = fake_record(run_id="123456abcdef")
+        second = fake_record(run_id="abcdef123456")
+        ledger.append(first)
+        ledger.append(second)
+        assert ledger.resolve("123456")["run_id"] == first["run_id"]
+        assert ledger.resolve("0")["run_id"] == first["run_id"]
+        assert ledger.resolve("-1")["run_id"] == second["run_id"]
+        with pytest.raises(LookupError):
+            ledger.resolve("2")
+
     def test_run_sweep_appends_when_enabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "1")
         assert ledger_enabled()
