@@ -127,15 +127,6 @@ class Core:
         self._pending_block = block
         self._pending_store = is_store
 
-    def _window_blocked(self) -> bool:
-        if not self._blocking_loads:
-            return False
-        committed = self.stats.committed
-        for issued_at, window in self._blocking_loads.values():
-            if committed - issued_at >= window:
-                return True
-        return False
-
     # ------------------------------------------------------------------
 
     def step(self, now: int) -> int:
@@ -151,7 +142,8 @@ class Core:
         stats = self.stats
         blocking = self._blocking_loads
         if blocking:
-            # Inline of _window_blocked (hottest entry check).
+            # The retirement window: stall once the oldest outstanding
+            # blocking load is a full window of commits old.
             committed = stats.committed
             for issued_at, window in blocking.values():
                 if committed - issued_at >= window:
@@ -169,11 +161,30 @@ class Core:
             if mem_op_done:
                 break  # only one memory operation per cycle (Table 1)
             attempted = True
-            if not self._issue_mem_op(now):
+            block = self._pending_block
+            l1 = self.l1
+            if l1.lookup(block):
+                # L1 hit: retire and load the next access in place.
+                stats.l1_hits += 1
+                if self._pending_store:
+                    l1.mark_dirty(block)
+                stats.committed += 1
+                stats.mem_ops += 1
+                (self._gap_remaining, self._pending_block,
+                 self._pending_store) = self.stream.next_access()
+            elif not self._issue_miss(block, now):
                 stall = self._last_stall
                 break  # NI / MSHRs full: retry next cycle
             mem_op_done = True
-            if self._window_blocked():
+            if blocking:
+                # The window test again, after this cycle's commits: a
+                # full window ends the cycle, else gap slots go on.
+                committed = stats.committed
+                for issued_at, window in blocking.values():
+                    if committed - issued_at >= window:
+                        break
+                else:
+                    continue
                 break
         if not attempted:
             return CORE_GAP
@@ -207,17 +218,10 @@ class Core:
                 j = m
         return j
 
-    def _issue_mem_op(self, now: int) -> bool:
-        block = self._pending_block
+    def _issue_miss(self, block: int, now: int) -> bool:
+        """Issue the pending access after its L1 lookup missed; return
+        False (with ``_last_stall`` set) if the NI or MSHRs refuse it."""
         is_store = self._pending_store
-        if self.l1.lookup(block):
-            self.stats.l1_hits += 1
-            if is_store:
-                self.l1.mark_dirty(block)
-            self.stats.committed += 1
-            self.stats.mem_ops += 1
-            self._advance_stream()
-            return True
         ni_queue = self._ni_queue
         if ni_queue is None:
             blocked = self._can_send is not None and not self._can_send()

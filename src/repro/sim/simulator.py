@@ -176,7 +176,14 @@ class CMPSimulator:
         directory sharers recorded) lets short measurement windows
         behave like the tail of a long warm-up.  Streams without the
         protocol (scripted tests) are left untouched.
+
+        L2 installs are gathered into one list per home bank, in global
+        order, and filled with one ``fill_many`` per bank: bank arrays
+        are independent, so only the order within a bank matters, and
+        the result equals one ``_install_l2`` per block.
         """
+        n_banks = self._n_banks
+        by_bank: List[List[int]] = [[] for _ in range(n_banks)]
         shared_done = False
         for core in self.cores:
             stream = core.stream
@@ -184,18 +191,21 @@ class CMPSimulator:
             if pool_blocks is None:
                 continue
             for block in pool_blocks():
-                self._install_l2(block)
+                by_bank[block % n_banks].append(block)
             for block in getattr(stream, "hot_blocks", list)():
-                self._install_l2(block)
+                bank = block % n_banks
+                by_bank[bank].append(block)
                 core.l1.fill(block)
-                bank = self.banks[self.bank_for_block(block)]
-                bank.directory.on_request(core.core_id, block, False)
+                self.banks[bank].directory.on_request(
+                    core.core_id, block, False)
             if not shared_done:
                 shared = getattr(stream, "shared_blocks", None)
                 if shared is not None:
                     for block in shared():
-                        self._install_l2(block)
+                        by_bank[block % n_banks].append(block)
                     shared_done = True
+        for bank, blocks in zip(self.banks, by_bank):
+            bank.array.fill_many(blocks)
 
     def _install_l2(self, block: int) -> None:
         bank = self.banks[self.bank_for_block(block)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from math import log as _log
 from typing import Optional
 
 from repro.cpu.trace import AccessStream
@@ -80,6 +81,8 @@ class SyntheticStream(AccessStream):
         # Gap between memory operations so that mem-op rate ~ MEM_OP_RATE:
         # each access costs 1 instruction plus `gap` non-memory ones.
         self._mean_gap = max(0.0, 1.0 / MEM_OP_RATE - 1.0)
+        #: ``expovariate`` rate of the gap draw (0.0: no gap)
+        self._gap_lambd = 1.0 / self._mean_gap if self._mean_gap else 0.0
 
         # Address-space layout (block numbers).
         self._private_base = (core_id + 1) * PRIVATE_SPACE_BLOCKS
@@ -174,10 +177,6 @@ class SyntheticStream(AccessStream):
     def _shared_block(self) -> int:
         return self._rng.randrange(self._shared_pool_blocks)
 
-    def _hot_block(self) -> int:
-        self._hot_ptr = (self._hot_ptr + 1) % len(self._hot_set)
-        return self._hot_set[self._hot_ptr]
-
     # ------------------------------------------------------------------
 
     def _gap(self, small: bool = False) -> int:
@@ -188,8 +187,8 @@ class SyntheticStream(AccessStream):
             # in a single cycle.
             return self._rng.randrange(2, 9)
         # Geometric-ish gap with the calibrated mean.
-        mean = self._mean_gap
-        return max(0, int(self._rng.expovariate(1.0 / mean))) if mean else 0
+        lambd = self._gap_lambd
+        return max(0, int(self._rng.expovariate(lambd))) if lambd else 0
 
     def _miss_block(self) -> int:
         """Choose the block for a (non-burst) L1 miss."""
@@ -208,14 +207,42 @@ class SyntheticStream(AccessStream):
         the rest is scattered.  Returns the block list (home banks are
         implied by ``block % n_banks``).
         """
+        # Bulk form of one ``_fresh_block`` call per block: the same
+        # counter values, block numbers and pool contents (a bounded
+        # deque's ``extend`` drops from the left exactly as appends do).
         blocks = []
+        pool = self._pool
+        base = self._private_base
+        n_banks = self.n_banks
         if self.bursty:
-            per_bank = max(8, self._pool_capacity // (2 * self.n_banks))
-            for bank in range(self.n_banks):
-                for _ in range(per_bank):
-                    blocks.append(self._fresh_block(bank=bank))
-        while len(self._pool) < self._pool_capacity:
-            blocks.append(self._fresh_block())
+            per_bank = max(8, self._pool_capacity // (2 * n_banks))
+            wrap = PRIVATE_SPACE_BLOCKS // (2 * n_banks)
+            for bank in range(n_banks):
+                first = self._stream_counter + 1
+                self._stream_counter += per_bank
+                bank_blocks = [
+                    base + (index % wrap) * n_banks + bank
+                    for index in range(first, first + per_bank)
+                ]
+                bank_pool = self._bank_pools.get(bank)
+                if bank_pool is None:
+                    bank_pool = deque(maxlen=self._bank_pool_depth)
+                    self._bank_pools[bank] = bank_pool
+                bank_pool.extend(bank_blocks)
+                pool.extend(bank_blocks)
+                blocks.extend(bank_blocks)
+        count = self._pool_capacity - len(pool)
+        if count > 0:
+            first = self._stream_counter + 1
+            self._stream_counter += count
+            stride = self._stride
+            span = PRIVATE_SPACE_BLOCKS // 2
+            scattered = [
+                base + (index * stride) % span
+                for index in range(first, first + count)
+            ]
+            pool.extend(scattered)
+            blocks.extend(scattered)
         return blocks
 
     def hot_blocks(self):
@@ -258,12 +285,21 @@ class SyntheticStream(AccessStream):
                 if is_store:
                     self.generated_stores += 1
                 return (self._gap(), self._miss_block(), is_store)
-            return (self._gap(), self._hot_block(), False)
-
-        if rng.random() < self.miss_prob:
+        elif rng.random() < self.miss_prob:
             self.generated_misses += 1
             is_store = rng.random() < self.store_prob
             if is_store:
                 self.generated_stores += 1
             return (self._gap(), self._miss_block(), is_store)
-        return (self._gap(), self._hot_block(), False)
+
+        # L1-resident hot access: the next hot-set block, with _gap()
+        # inlined.  ``expovariate(lambd)`` is ``-log(1.0 - random()) /
+        # lambd``; dividing by ``lambd`` (not multiplying by the mean)
+        # keeps every last bit.  The quotient is never negative (at
+        # worst -0.0), so _gap()'s ``max(0, ...)`` is not needed.
+        lambd = self._gap_lambd
+        gap = int(-_log(1.0 - rng.random()) / lambd) if lambd else 0
+        hot_set = self._hot_set
+        ptr = (self._hot_ptr + 1) % len(hot_set)
+        self._hot_ptr = ptr
+        return (gap, hot_set[ptr], False)

@@ -5,8 +5,9 @@ sleeping, lazily-accrued core counters) is certified against summary
 byte-identity elsewhere; these tests assert the stronger property its
 wake-hint discipline is built to preserve: the *internal*
 instrumentation -- every ``CoreStats`` field of every core, every
-core's MSHR ``full_stalls`` and every bank's ``service_intervals``
-schedule -- equals the dense reference run (every component stepped
+core's L1 hit, miss and store-hit counts, every core's MSHR
+``full_stalls`` and every bank's ``service_intervals`` schedule --
+equals the dense reference run (every component stepped
 every cycle, dense reference route loop) field by field.  The matrix
 covers the four paper schemes plus RCA, randomized seeds and windows,
 and a one-entry bank queue that keeps ejection flow control refusing,
@@ -33,11 +34,26 @@ CORE_FIELDS = CoreStats.__slots__
 BANK_FIELDS = BankStats.__slots__
 
 
+def _count_store_hits(core):
+    """Count the core's L1 store hits: ``Core.step`` marks a line dirty
+    exactly when a store hits the L1."""
+    core.store_hits = 0
+    mark_dirty = core.l1.mark_dirty
+
+    def counted(block):
+        core.store_hits += 1
+        mark_dirty(block)
+
+    core.l1.mark_dirty = counted
+
+
 def _run(scheme, scheduler, cycles, warmup, seed, overrides):
     reset_state()
     config = make_config(scheme, **FAST, **overrides)
     workload = app_factory("tpcc", seed=seed)(config)
     sim = CMPSimulator(config, workload, scheduler=scheduler)
+    for core in sim.cores:
+        _count_store_hits(core)
     return sim, sim.run(cycles, warmup=warmup).to_dict()
 
 
@@ -49,6 +65,11 @@ def _assert_stats_equal(event_sim, dense_sim, label):
             )
         assert ec.mshrs.full_stalls == dc.mshrs.full_stalls, (
             f"{label}: core {cid} MSHR full_stalls diverged"
+        )
+        l1_counts = [(c.l1.hits, c.l1.misses, c.store_hits)
+                     for c in (ec, dc)]
+        assert l1_counts[0] == l1_counts[1], (
+            f"{label}: core {cid} L1 hit/miss/store-hit counts diverged"
         )
     for b, (eb, db) in enumerate(zip(event_sim.banks, dense_sim.banks)):
         for name in BANK_FIELDS:
@@ -73,7 +94,9 @@ def test_event_matches_dense_field_by_field(seed, scheme, queue):
                             overrides)
 
     assert event == dense
-    assert dense["packets_delivered"] > 0  # non-vacuous comparison
+    # non-vacuous comparison: traffic, L1 hits and store hits all occur
+    assert dense["packets_delivered"] > 0
+    assert sum(core.store_hits for core in dense_sim.cores) > 0
     _assert_stats_equal(event_sim, dense_sim,
                         f"seed{seed} {scheme.value} queue={queue}")
 
