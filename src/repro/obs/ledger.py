@@ -19,9 +19,9 @@ Durability mirrors the result cache's corrupt-entry handling:
   are kept (``$REPRO_LEDGER_MAX`` overrides the default), so the
   ledger never grows without bound.
 
-``repro.cli ledger`` lists, filters, validates and diffs the records;
-``repro.cli report --compare`` reuses :func:`diff_records` to gate two
-runs against a regression threshold.
+``repro.cli ledger`` lists, filters and validates the records, and
+``ledger diff`` gates two runs against a regression threshold through
+:func:`diff_records`.
 """
 
 from __future__ import annotations
@@ -283,29 +283,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Diffing
 # ----------------------------------------------------------------------
-
-
-def record_from_bench(payload: Dict, path: str) -> Dict:
-    """A pseudo ledger record lifted from a ``BENCH_perf.json`` report,
-    so ``report --compare`` can diff a live run against the committed
-    sweep-throughput baseline."""
-    sweep = payload.get("sweep_throughput")
-    if not isinstance(sweep, dict):
-        raise LookupError(f"{path} has no sweep_throughput section")
-    return {
-        "run_id": f"bench:{os.path.basename(path)}",
-        "workers": sweep.get("workers", 1),
-        "points": sweep.get("points", 0),
-        "wall_seconds": (
-            sweep["points"] / sweep["serial_points_per_sec"]
-            if sweep.get("serial_points_per_sec") else 0.0
-        ),
-        "points_per_sec": sweep.get("serial_points_per_sec", 0.0),
-        "hit_rate": sweep.get("warm_hit_rate", 0.0),
-        "cache_hits": 0, "cache_misses": 0, "cache_evictions": 0,
-        "resumed_points": 0, "simulated": sweep.get("points", 0),
-        "spans": {},
-    }
 
 
 #: Headline scalars diffed between two records (name, lower-is-better).

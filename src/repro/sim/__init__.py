@@ -28,10 +28,11 @@ def reset_state() -> None:
     The simulator keeps almost all state per-instance; the one
     process-wide global is the monotonically increasing packet-id
     counter (``repro.noc.packet``), which makes packet ids depend on
-    every simulation constructed earlier in the process.  Benchmarks
-    and reproducibility-sensitive harnesses (``benchmarks/conftest.py``,
-    ``repro.sim.perf``) call this before each run so seeded simulations
-    are bit-identical no matter what ran before them.
+    every simulation constructed earlier in the process.  Every entry
+    point that runs independent simulations in one process (the sweep
+    engine, the CLI, ``benchmarks/conftest.py``) calls this before each
+    run so seeded simulations are bit-identical no matter what ran
+    before them.
     """
     from repro.noc.packet import reset_packet_ids
 

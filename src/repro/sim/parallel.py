@@ -41,6 +41,7 @@ exposed on the command line as ``python -m repro.cli sweep``.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import enum
 import hashlib
 import json
@@ -53,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import SweepTelemetry, WorkerTelemetry
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, make_config
 
 #: Bumped when the cached payload layout (not the simulated content)
 #: changes incompatibly.
@@ -354,30 +355,20 @@ def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
     only and never alters the summary.
     """
     from repro.sim import reset_state
-    from repro.sim.experiment import app_factory, run_scheme
-
-    if recorder is None:
-        reset_state()
-        result = run_scheme(
-            spec.scheme, app_factory(spec.app, seed=spec.seed),
-            cycles=spec.cycles, warmup=spec.warmup,
-            **spec.overrides_dict(),
-        )
-        return result.to_dict()
-
-    # Instrumented path: the exact run_scheme/run_workload sequence,
-    # unrolled so construction and execution time apart.
-    from repro.sim.config import make_config
+    from repro.sim.experiment import app_factory
     from repro.sim.simulator import CMPSimulator
 
-    with recorder.span("engine.setup", app=spec.app,
-                       scheme=spec.scheme.value):
+    def span(name):
+        if recorder is None:
+            return contextlib.nullcontext()
+        return recorder.span(name, app=spec.app, scheme=spec.scheme.value)
+
+    with span("engine.setup"):
         reset_state()
         config = make_config(spec.scheme, **spec.overrides_dict())
         workload = app_factory(spec.app, seed=spec.seed)(config)
         sim = CMPSimulator(config, workload)
-    with recorder.span("engine.simulate", app=spec.app,
-                       scheme=spec.scheme.value):
+    with span("engine.simulate"):
         result = sim.run(spec.cycles, warmup=spec.warmup)
     return result.to_dict()
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.obs.ledger import (
     DEFAULT_MAX_ENTRIES, RunLedger, build_record, diff_records,
-    format_entries, ledger_enabled, record_from_bench, validate_record,
+    format_entries, ledger_enabled, validate_record,
 )
 from repro.obs.metrics import LabeledGauge, MetricsRegistry
 from repro.obs.progress import ProgressRenderer
@@ -454,19 +454,6 @@ class TestLedgerDiff:
         _lines, failures = diff_records(a, b, threshold=0.2)
         assert failures == []
 
-    def test_bench_pseudo_record(self, tmp_path):
-        payload = {"sweep_throughput": {
-            "points": 6, "workers": 4,
-            "serial_points_per_sec": 12.0, "warm_hit_rate": 1.0,
-        }}
-        record = record_from_bench(payload, "BENCH_perf.json")
-        assert record["points_per_sec"] == 12.0
-        lines, failures = diff_records(record, fake_record(
-            points_per_sec=11.0), threshold=0.2)
-        assert failures == []
-        with pytest.raises(LookupError):
-            record_from_bench({}, "other.json")
-
     def test_format_entries_lists_every_run(self):
         records = [fake_record(), fake_record()]
         listing = format_entries(records)
@@ -648,38 +635,11 @@ class TestCLI:
         assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
         assert "points_per_sec" in capsys.readouterr().out
 
-    def test_report_compare(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = RunLedger(path=path)
-        ledger.append(fake_record(points_per_sec=10.0))
-        ledger.append(fake_record(points_per_sec=9.8))
-        assert main(["report", "--compare", "-2", "-1",
-                     "--ledger-path", path]) == 0
-        assert "no regression" in capsys.readouterr().out
-        ledger.append(fake_record(points_per_sec=1.0))
-        assert main(["report", "--compare", "-3", "-1",
-                     "--ledger-path", path]) == 1
-
-    def test_report_compare_against_bench(self, tmp_path, capsys):
-        from repro.cli import main
-
-        bench = tmp_path / "BENCH_perf.json"
-        bench.write_text(json.dumps({"sweep_throughput": {
-            "points": 4, "workers": 1,
-            "serial_points_per_sec": 10.0, "warm_hit_rate": 1.0,
-        }}))
-        path = str(tmp_path / "ledger.jsonl")
-        RunLedger(path=path).append(fake_record(points_per_sec=9.9))
-        assert main(["report", "--compare", str(bench), "-1",
-                     "--ledger-path", path]) == 0
-
     def test_report_still_needs_app_without_compare(self, capsys):
         from repro.cli import main
 
         assert main(["report"]) == 2
-        assert "--app" in capsys.readouterr().err
+        assert "report needs --app" in capsys.readouterr().err
 
     def test_sweep_telemetry_flags(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
