@@ -6,18 +6,26 @@ sets with it) scaled by ``CAPACITY_SCALE`` and a measurement window of
 ``CYCLES`` cycles after ``WARMUP`` -- a pure-Python cycle simulator
 cannot run 50M instructions per core (see DESIGN.md, "Substitutions").
 
-Simulation results are memoised per (scheme, workload, overrides) so the
-figures that share scenario runs (6, 7, 8) pay for them once.
+The scheme x workload grids run as sweep points through
+:func:`repro.sim.parallel.run_points`: one worker per CPU, and every
+summary (:meth:`SimulationResult.to_dict`) is kept in the
+content-addressed result cache (``REPRO_SWEEP_CACHE_DIR``, see
+:func:`repro.sim.parallel.default_cache_dir`).  Figures that share
+points (6, 7, 8) therefore simulate them once, and a re-run with
+unchanged sources simulates nothing.  Reads of fields a summary does
+not carry go through :func:`simulate`, which builds the simulator
+directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Mapping
 
-from repro.sim.config import Scheme, make_config, with_write_buffer
+from repro.sim.config import Scheme, make_config
+from repro.sim.parallel import SweepPoint, run_points
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import CMPSimulator
-from repro.workloads.mixes import Workload, homogeneous
+from repro.workloads.mixes import homogeneous
 
 MESH_WIDTH = 8
 CAPACITY_SCALE = 1 / 16
@@ -32,52 +40,31 @@ SERVER_APPS = ("tpcc", "sjas", "sap", "sjbb")
 PARSEC_APPS = ("sclust", "ferret", "canneal", "x264")
 SPEC_APPS = ("lbm", "hmmer", "mcf", "libquantum")
 
-_result_cache: Dict[Tuple, SimulationResult] = {}
 
-
-def run_app(scheme: Scheme, app: str, cycles: int = CYCLES,
-            warmup: int = WARMUP, seed: int = SEED,
-            **overrides) -> SimulationResult:
-    """Run one application homogeneously under one scheme (memoised)."""
-    key = ("app", scheme, app, cycles, warmup, seed,
-           tuple(sorted(overrides.items())))
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached
+def point(scheme: Scheme, app: str, seed: int = SEED,
+          **overrides) -> SweepPoint:
+    """One figure point at paper scale; ``app`` may be a "+"-joined
+    mix of applications."""
     params = dict(mesh_width=MESH_WIDTH, capacity_scale=CAPACITY_SCALE)
     params.update(overrides)
-    add_write_buffer = params.pop("_write_buffer", False)
-    config = make_config(scheme, **params)
-    if add_write_buffer:
-        config = with_write_buffer(config)
-    sim = CMPSimulator(config, homogeneous(app, config, seed=seed))
-    result = sim.run(cycles, warmup=warmup)
-    _result_cache[key] = result
-    return result
+    return SweepPoint.build(app, scheme, CYCLES, WARMUP, seed, params)
 
 
-def run_mix(scheme: Scheme, workload_factory, name: str,
-            cycles: int = CYCLES, warmup: int = WARMUP,
-            **overrides) -> SimulationResult:
-    """Run a multi-programmed mix under one scheme (memoised)."""
-    key = ("mix", scheme, name, cycles, warmup,
-           tuple(sorted(overrides.items())))
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached
-    params = dict(mesh_width=MESH_WIDTH, capacity_scale=CAPACITY_SCALE)
-    params.update(overrides)
-    config = make_config(scheme, **params)
-    sim = CMPSimulator(config, workload_factory(config))
-    result = sim.run(cycles, warmup=warmup)
-    _result_cache[key] = result
-    return result
+def run(points: Mapping[Hashable, SweepPoint]) -> Dict[Hashable, dict]:
+    """Summaries of a figure's points, keyed like ``points``."""
+    resolved = run_points(list(points.values()), workers=0, cache=True)
+    return {name: resolved[spec.key()] for name, spec in points.items()}
+
+
+def simulate(scheme: Scheme, app: str, **overrides) -> SimulationResult:
+    """Run one homogeneous figure point directly, for the result fields
+    a summary does not carry."""
+    config = make_config(scheme, mesh_width=MESH_WIDTH,
+                         capacity_scale=CAPACITY_SCALE, **overrides)
+    sim = CMPSimulator(config, homogeneous(app, config, seed=SEED))
+    return sim.run(CYCLES, warmup=WARMUP)
 
 
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def scheme_label(scheme: Scheme) -> str:
-    return scheme.value

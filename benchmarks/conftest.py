@@ -3,19 +3,4 @@
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_state():
-    """Isolate benchmarks from process-global counters (packet ids).
-
-    See :func:`repro.sim.reset_state`: seeded runs are only
-    reproducible if the global packet-id counter starts from zero.
-    """
-    from repro.sim import reset_state
-
-    reset_state()
-    yield

@@ -14,7 +14,7 @@ basic delay rule; this bench isolates each on a bursty server workload:
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 
-from common import once, run_app
+from common import once, point, run
 
 APP = "tpcc"
 
@@ -28,23 +28,23 @@ def _run_all():
         "short delay cap (33)": {"max_delay_cycles": 33},
         "long delay cap (132)": {"max_delay_cycles": 132},
     }
-    return {
-        name: run_app(Scheme.STTRAM_4TSB_WB, APP, **overrides)
+    return run({
+        name: point(Scheme.STTRAM_4TSB_WB, APP, **overrides)
         for name, overrides in variants.items()
-    }
+    })
 
 
 def test_ablation_arbiter_policies(benchmark):
     data = once(benchmark, _run_all)
 
     print()
-    base = data["full policy"].instruction_throughput()
+    base = data["full policy"]["instruction_throughput"]
     rows = [
         [name,
-         round(r.instruction_throughput() / base, 3),
-         round(r.avg_bank_queue_wait, 1),
-         round(r.avg_miss_latency, 0),
-         r.delayed_cycle_sum]
+         round(r["instruction_throughput"] / base, 3),
+         round(r["avg_bank_queue_wait"], 1),
+         round(r["avg_miss_latency"], 0),
+         r["delayed_cycle_sum"]]
         for name, r in data.items()
     ]
     print(format_table(
@@ -54,14 +54,14 @@ def test_ablation_arbiter_policies(benchmark):
 
     # Every variant functions and delays packets.
     for name, result in data.items():
-        assert result.total_instructions() > 0, name
-        assert result.delayed_cycle_sum > 0, name
+        assert result["instructions"] > 0, name
+        assert result["delayed_cycle_sum"] > 0, name
 
     # A longer delay cap means more accumulated delay cycles than a
     # short one.
-    assert data["long delay cap (132)"].delayed_cycle_sum \
-        > data["short delay cap (33)"].delayed_cycle_sum
+    assert data["long delay cap (132)"]["delayed_cycle_sum"] \
+        > data["short delay cap (33)"]["delayed_cycle_sum"]
 
     # No variant should collapse: within 40% of the full policy.
     for name, result in data.items():
-        assert result.instruction_throughput() > 0.6 * base, name
+        assert result["instruction_throughput"] > 0.6 * base, name

@@ -9,27 +9,28 @@ the others; this bench quantifies that in this model.
 """
 
 from repro.analysis.tables import format_table
-from repro.sim.config import Scheme
+from repro.sim.config import Scheme, WriteBufferConfig
 
-from common import once, run_app
+from common import once, point, run
 
 APP = "tpcc"
 
 
 def _run_all():
-    return {
-        "plain STT-RAM": run_app(Scheme.STTRAM_64TSB, APP),
-        "write termination": run_app(
+    return run({
+        "plain STT-RAM": point(Scheme.STTRAM_64TSB, APP),
+        "write termination": point(
             Scheme.STTRAM_64TSB, APP, write_termination=True),
-        "hybrid 4 SRAM ways": run_app(
+        "hybrid 4 SRAM ways": point(
             Scheme.STTRAM_64TSB, APP, hybrid_sram_ways=4),
-        "BUFF-20": run_app(Scheme.STTRAM_64TSB, APP, _write_buffer=True),
-        "WB network scheme": run_app(Scheme.STTRAM_4TSB_WB, APP),
-        "WB + termination": run_app(
+        "BUFF-20": point(Scheme.STTRAM_64TSB, APP,
+                         write_buffer=WriteBufferConfig(20)),
+        "WB network scheme": point(Scheme.STTRAM_4TSB_WB, APP),
+        "WB + termination": point(
             Scheme.STTRAM_4TSB_WB, APP, write_termination=True),
-        "WB + hybrid": run_app(
+        "WB + hybrid": point(
             Scheme.STTRAM_4TSB_WB, APP, hybrid_sram_ways=4),
-    }
+    })
 
 
 def test_ablation_write_mitigations(benchmark):
@@ -39,10 +40,10 @@ def test_ablation_write_mitigations(benchmark):
     base = data["plain STT-RAM"]
     rows = [
         [name,
-         round(r.instruction_throughput()
-               / base.instruction_throughput(), 3),
-         round(r.avg_bank_queue_wait, 1),
-         round(r.uncore_latency() / base.uncore_latency(), 3)]
+         round(r["instruction_throughput"]
+               / base["instruction_throughput"], 3),
+         round(r["avg_bank_queue_wait"], 1),
+         round(r["avg_miss_latency"] / base["avg_miss_latency"], 3)]
         for name, r in data.items()
     ]
     print(format_table(
@@ -52,15 +53,15 @@ def test_ablation_write_mitigations(benchmark):
 
     # Every bank-side mitigation cuts queueing vs plain STT-RAM.
     for name in ("write termination", "hybrid 4 SRAM ways", "BUFF-20"):
-        assert data[name].avg_bank_queue_wait \
-            < base.avg_bank_queue_wait, name
+        assert data[name]["avg_bank_queue_wait"] \
+            < base["avg_bank_queue_wait"], name
 
     # The network scheme composes: adding termination or the hybrid
     # partition on top of WB does not hurt (and usually helps).
     wb = data["WB network scheme"]
     for name in ("WB + termination", "WB + hybrid"):
-        assert data[name].instruction_throughput() \
-            > 0.9 * wb.instruction_throughput(), name
+        assert data[name]["instruction_throughput"] \
+            > 0.9 * wb["instruction_throughput"], name
 
     for name, result in data.items():
-        assert result.total_instructions() > 0, name
+        assert result["instructions"] > 0, name

@@ -10,20 +10,24 @@ of requests to idle banks restores a measure of fairness.
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 from repro.sim.metrics import max_slowdown, slowdowns
-from repro.workloads.mixes import case2
+from repro.workloads.mixes import CASE2_APPS
 
-from common import once, run_app, run_mix
+from common import once, point, run
 
 SCHEMES = (Scheme.STTRAM_64TSB, Scheme.STTRAM_4TSB_WB)
+CASE2 = "+".join(CASE2_APPS)
 
 
 def _run_all():
+    data = run({
+        (app, scheme): point(scheme, app)
+        for scheme in SCHEMES for app in (CASE2,) + CASE2_APPS
+    })
     out = {}
     for scheme in SCHEMES:
-        result = run_mix(scheme, case2, "case2")
-        shared = result.ipc_by_app()
+        shared = data[(CASE2, scheme)]["ipc_by_app"]
         alone = {
-            app: run_app(scheme, app).ipc_by_app()[app]
+            app: data[(app, scheme)]["ipc_by_app"][app]
             for app in shared
         }
         out[scheme] = {

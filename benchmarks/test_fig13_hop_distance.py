@@ -11,7 +11,7 @@ from repro.sim.config import Scheme, make_config
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous
 
-from common import CAPACITY_SCALE, MESH_WIDTH, once, run_app
+from common import CAPACITY_SCALE, MESH_WIDTH, once, point, run
 
 APPS = ("tpcc", "sclust")
 
@@ -30,11 +30,11 @@ def _requests_at_distances():
 
 
 def _ipc_sweep():
-    return {
-        (app, hops): run_app(Scheme.STTRAM_4TSB_WB, app,
-                             parent_hop_distance=hops)
+    return run({
+        (app, hops): point(Scheme.STTRAM_4TSB_WB, app,
+                           parent_hop_distance=hops)
         for app in APPS for hops in (1, 2, 3)
-    }
+    })
 
 
 def test_fig13_hop_distance_sensitivity(benchmark):
@@ -48,9 +48,9 @@ def test_fig13_hop_distance_sensitivity(benchmark):
         title="Figure 13a: re-orderable requests vs destination distance"))
     rows = []
     for app in APPS:
-        base = sweep[(app, 2)].instruction_throughput()
+        base = sweep[(app, 2)]["instruction_throughput"]
         rows.append([app] + [
-            round(sweep[(app, h)].instruction_throughput() / base, 3)
+            round(sweep[(app, h)]["instruction_throughput"] / base, 3)
             for h in (1, 2, 3)
         ])
     print(format_table(
@@ -67,6 +67,6 @@ def test_fig13_hop_distance_sensitivity(benchmark):
     # (b) H=2 is competitive: within a few percent of the best choice
     # for every application (the paper picks it as the sweet spot).
     for app in APPS:
-        best = max(sweep[(app, h)].instruction_throughput()
+        best = max(sweep[(app, h)]["instruction_throughput"]
                    for h in (1, 2, 3))
-        assert sweep[(app, 2)].instruction_throughput() > 0.9 * best, app
+        assert sweep[(app, 2)]["instruction_throughput"] > 0.9 * best, app

@@ -16,19 +16,21 @@ from repro.analysis.tables import format_table
 from repro.sim.config import ALL_SCHEMES, Scheme
 from repro.sim.metrics import geometric_mean
 
-from common import PARSEC_APPS, SERVER_APPS, SPEC_APPS, once, run_app
+from common import PARSEC_APPS, SERVER_APPS, SPEC_APPS, once, point, run
 
 SUITES = (("SERVER", SERVER_APPS), ("PARSEC", PARSEC_APPS),
           ("SPEC", SPEC_APPS))
 
 
 def _run_all():
+    summaries = run({
+        (app, scheme): point(scheme, app)
+        for _suite, apps in SUITES for app in apps
+        for scheme in ALL_SCHEMES
+    })
     data = {}
-    for _suite, apps in SUITES:
-        for app in apps:
-            data[app] = {
-                scheme: run_app(scheme, app) for scheme in ALL_SCHEMES
-            }
+    for (app, scheme), summary in summaries.items():
+        data.setdefault(app, {})[scheme] = summary
     return data
 
 
@@ -40,10 +42,10 @@ def test_fig6_throughput_all_schemes(benchmark):
         rows = []
         per_scheme = {s: [] for s in ALL_SCHEMES}
         for app in apps:
-            base = data[app][Scheme.SRAM_64TSB].instruction_throughput()
+            base = data[app][Scheme.SRAM_64TSB]["instruction_throughput"]
             row = [app]
             for scheme in ALL_SCHEMES:
-                value = data[app][scheme].instruction_throughput() / base
+                value = data[app][scheme]["instruction_throughput"] / base
                 row.append(round(value, 3))
                 per_scheme[scheme].append(value)
             rows.append(row)
@@ -60,26 +62,26 @@ def test_fig6_throughput_all_schemes(benchmark):
     # Write-intensive server workloads suffer from the naive SRAM->STT
     # swap (paper: all server benchmarks degrade).
     tpcc = data["tpcc"]
-    assert tpcc[Scheme.STTRAM_64TSB].instruction_throughput() \
-        < tpcc[Scheme.SRAM_64TSB].instruction_throughput()
+    assert tpcc[Scheme.STTRAM_64TSB]["instruction_throughput"] \
+        < tpcc[Scheme.SRAM_64TSB]["instruction_throughput"]
 
     # Bank queueing appears with STT-RAM writes.
-    assert tpcc[Scheme.STTRAM_64TSB].avg_bank_queue_wait \
-        > 5 * tpcc[Scheme.SRAM_64TSB].avg_bank_queue_wait
+    assert tpcc[Scheme.STTRAM_64TSB]["avg_bank_queue_wait"] \
+        > 5 * tpcc[Scheme.SRAM_64TSB]["avg_bank_queue_wait"]
 
     # The estimator schemes cut bank queueing vs the restriction-only
     # 4TSB baseline on bursty write-heavy applications.
     for app in ("tpcc", "sjas"):
-        plain = data[app][Scheme.STTRAM_4TSB].avg_bank_queue_wait
-        wb = data[app][Scheme.STTRAM_4TSB_WB].avg_bank_queue_wait
+        plain = data[app][Scheme.STTRAM_4TSB]["avg_bank_queue_wait"]
+        wb = data[app][Scheme.STTRAM_4TSB_WB]["avg_bank_queue_wait"]
         assert wb < plain, app
 
     # Read-intensive SPEC applications retain the capacity benefit.
     mcf = data["mcf"]
-    assert mcf[Scheme.STTRAM_64TSB].instruction_throughput() \
-        > 0.9 * mcf[Scheme.SRAM_64TSB].instruction_throughput()
+    assert mcf[Scheme.STTRAM_64TSB]["instruction_throughput"] \
+        > 0.9 * mcf[Scheme.SRAM_64TSB]["instruction_throughput"]
 
     # The proposed schemes only ever delay packets when an estimator
     # runs.
-    assert data["tpcc"][Scheme.STTRAM_4TSB].delayed_cycle_sum == 0
-    assert data["tpcc"][Scheme.STTRAM_4TSB_WB].delayed_cycle_sum > 0
+    assert data["tpcc"][Scheme.STTRAM_4TSB]["delayed_cycle_sum"] == 0
+    assert data["tpcc"][Scheme.STTRAM_4TSB_WB]["delayed_cycle_sum"] > 0

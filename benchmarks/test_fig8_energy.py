@@ -8,7 +8,7 @@ write-intensive applications saving a little less (0.765 nJ writes).
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 
-from common import once, run_app
+from common import once, point, run
 
 APPS = ("tpcc", "sjas", "sclust", "x264", "lbm", "hmmer", "mcf",
         "libquantum")
@@ -18,8 +18,11 @@ SCHEMES = (Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB,
 
 
 def _run_all():
+    summaries = run({(app, scheme): point(scheme, app)
+                     for app in APPS for scheme in SCHEMES})
     return {
-        app: {scheme: run_app(scheme, app) for scheme in SCHEMES}
+        app: {scheme: summaries[(app, scheme)]["uncore_energy_j"]
+              for scheme in SCHEMES}
         for app in APPS
     }
 
@@ -31,16 +34,14 @@ def test_fig8_uncore_energy(benchmark):
     rows = []
     savings = []
     for app in APPS:
-        base = data[app][Scheme.SRAM_64TSB].uncore_energy()
+        base = data[app][Scheme.SRAM_64TSB]
         row = [app]
         for scheme in SCHEMES:
-            row.append(round(data[app][scheme].uncore_energy() / base, 3))
+            row.append(round(data[app][scheme] / base, 3))
         rows.append(row)
-        savings.append(
-            1 - data[app][Scheme.STTRAM_4TSB_WB].uncore_energy() / base)
+        savings.append(1 - data[app][Scheme.STTRAM_4TSB_WB] / base)
     rows.append(["average"] + [
-        round(sum(data[a][s].uncore_energy()
-                  / data[a][Scheme.SRAM_64TSB].uncore_energy()
+        round(sum(data[a][s] / data[a][Scheme.SRAM_64TSB]
                   for a in APPS) / len(APPS), 3)
         for s in SCHEMES
     ])
@@ -50,9 +51,9 @@ def test_fig8_uncore_energy(benchmark):
 
     # Every STT-RAM scheme saves energy on every application.
     for app in APPS:
-        base = data[app][Scheme.SRAM_64TSB].uncore_energy()
+        base = data[app][Scheme.SRAM_64TSB]
         for scheme in SCHEMES[1:]:
-            assert data[app][scheme].uncore_energy() < base, (app, scheme)
+            assert data[app][scheme] < base, (app, scheme)
 
     # Average saving in the paper's ballpark (54%); leakage-dominated,
     # so it is insensitive to the exact activity levels.
@@ -62,6 +63,6 @@ def test_fig8_uncore_energy(benchmark):
     # All three proposed schemes save near-identical energy (the paper's
     # observation: the saving comes from the cells, not the scheme).
     for app in APPS:
-        values = [data[app][s].uncore_energy() for s in SCHEMES[2:]]
+        values = [data[app][s] for s in SCHEMES[2:]]
         spread = (max(values) - min(values)) / max(values)
         assert spread < 0.15, app

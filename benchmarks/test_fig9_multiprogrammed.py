@@ -10,41 +10,44 @@ the design space.
 from repro.analysis.tables import format_table
 from repro.sim.config import Scheme
 from repro.sim.metrics import weighted_speedup
-from repro.workloads.mixes import case1, case2, case3_mixes
+from repro.workloads.mixes import CASE1_APPS, CASE2_APPS
 
-from common import once, run_app, run_mix
+from common import once, point, run
 
 SCHEMES = (Scheme.SRAM_64TSB, Scheme.STTRAM_64TSB, Scheme.STTRAM_4TSB,
            Scheme.STTRAM_4TSB_WB)
 
-
-def _alone_ipc(scheme, apps):
-    return {app: run_app(scheme, app).ipc_by_app()[app] for app in apps}
-
-
-def _case_metrics(scheme, factory, name):
-    result = run_mix(scheme, factory, name)
-    shared = result.ipc_by_app()
-    alone = _alone_ipc(scheme, tuple(shared))
-    return {
-        "ws": weighted_speedup(shared, alone),
-        "it": result.instruction_throughput(),
-        "result": result,
-    }
+#: (mix, workload seed) per case.  Case 3 stands for the random mixes
+#: with one of them: the second of ``case3_mixes(config, n_mixes=2,
+#: apps_per_mix=4)``, whose applications are drawn with seed 7 and
+#: which runs at seed 7 + 1.
+CASES = {
+    "case1": ("+".join(CASE1_APPS), 1),
+    "case2": ("+".join(CASE2_APPS), 1),
+    "case3": ("sjbb+sclust+namd+canneal", 8),
+}
 
 
 def _run_all():
+    points = {}
+    for name, (apps, seed) in CASES.items():
+        for scheme in SCHEMES:
+            points[(name, scheme)] = point(scheme, apps, seed=seed)
+            for app in apps.split("+"):
+                points[(app, scheme)] = point(scheme, app)
+    data = run(points)
     cases = {}
-    for name, factory in (
-        ("case1", case1),
-        ("case2", case2),
-        ("case3", lambda cfg: case3_mixes(cfg, n_mixes=2,
-                                          apps_per_mix=4)[1]),
-    ):
-        cases[name] = {
-            scheme: _case_metrics(scheme, factory, name)
-            for scheme in SCHEMES
-        }
+    for name in CASES:
+        cases[name] = {}
+        for scheme in SCHEMES:
+            mixed = data[(name, scheme)]
+            shared = mixed["ipc_by_app"]
+            alone = {app: data[(app, scheme)]["ipc_by_app"][app]
+                     for app in shared}
+            cases[name][scheme] = {
+                "ws": weighted_speedup(shared, alone),
+                "it": mixed["instruction_throughput"],
+            }
     return cases
 
 

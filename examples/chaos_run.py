@@ -16,7 +16,6 @@ Usage:
 import sys
 
 from repro.analysis.tables import format_table
-from repro.noc.packet import reset_packet_ids
 from repro.resilience import FaultConfig
 from repro.sim.config import Scheme, make_config
 from repro.sim.simulator import CMPSimulator
@@ -28,7 +27,6 @@ FAIL_REGION = 0
 
 
 def run(app: str, mesh_width: int, faults=None):
-    reset_packet_ids()
     config = make_config(Scheme.STTRAM_4TSB_WB, mesh_width=mesh_width,
                          capacity_scale=1 / 16)
     sim = CMPSimulator(config, homogeneous(app, config, seed=1),

@@ -19,7 +19,6 @@ Usage:
 
 import sys
 
-from repro.noc.packet import reset_packet_ids
 from repro.obs import Observability
 from repro.obs.report import (
     format_accuracy_table, format_bank_heatmap, format_epoch_table,
@@ -43,7 +42,6 @@ def main() -> None:
     wb_obs = None
     for label, scheme in SCHEMES:
         print(f"tracing {app} under {scheme.value} ({label})...")
-        reset_packet_ids()  # identical packet streams across schemes
         config = make_config(scheme, mesh_width=mesh_width,
                              capacity_scale=1 / 16)
         sim = CMPSimulator(config, app_factory(app)(config))

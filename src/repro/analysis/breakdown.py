@@ -45,17 +45,16 @@ def breakdown_of(result: SimulationResult) -> LatencyBreakdown:
 
 
 def normalized_breakdowns(
-    results: Mapping, baseline_key
+    breakdowns: Mapping[object, LatencyBreakdown], baseline_key
 ) -> Dict[object, Dict[str, float]]:
     """Figure 7 series: the baseline's components as exact percentages,
     every other scheme's components normalised to the baseline's."""
-    base = breakdown_of(results[baseline_key])
+    base = breakdowns[baseline_key]
     base_pct = base.percentages()
     out = {baseline_key: base_pct}
-    for key, result in results.items():
+    for key, b in breakdowns.items():
         if key == baseline_key:
             continue
-        b = breakdown_of(result)
         out[key] = {
             "network": (
                 base_pct["network"] * b.network_latency

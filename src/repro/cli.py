@@ -222,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "root, ledger.jsonl)")
     ledger_p.add_argument("--limit", type=_positive_int, default=20,
                           help="rows shown by list (default 20)")
-    ledger_p.add_argument("--backend", default=None,
-                          choices=("scalar", "batch"),
-                          help="list filter: only runs of this backend "
-                               "(older records may say 'batch'; records "
-                               "without the field count as 'scalar')")
     ledger_p.add_argument("--spec", default=None, metavar="PREFIX",
                           help="list filter: grid spec digest prefix")
     ledger_p.add_argument("--threshold", type=float, default=0.2,
@@ -412,7 +407,6 @@ def _chaos_fault_config(args, config):
 
 
 def _cmd_chaos(args) -> int:
-    from repro.sim import reset_state
     from repro.sim.simulator import CMPSimulator
 
     scheme = _SCHEME_BY_NAME[args.scheme]
@@ -420,7 +414,6 @@ def _cmd_chaos(args) -> int:
     faults = _chaos_fault_config(args, config)
 
     def one_run():
-        reset_state()
         workload = app_factory(args.app, seed=args.seed)(config)
         sim = CMPSimulator(config, workload, scheduler=args.scheduler,
                            guard=True, faults=faults)
@@ -472,10 +465,8 @@ def _cmd_chaos(args) -> int:
 
 def _instrumented_run(args, obs):
     """Build, attach and run one instrumented simulation."""
-    from repro.sim import reset_state
     from repro.sim.simulator import CMPSimulator
 
-    reset_state()
     scheme = _SCHEME_BY_NAME[args.scheme]
     config = make_config(scheme, **_overrides(args))
     workload = app_factory(args.app, seed=args.seed)(config)
@@ -565,9 +556,6 @@ def _cmd_ledger(args) -> int:
         return 1 if failures else 0
 
     records = ledger.entries()
-    if args.backend:
-        records = [r for r in records
-                   if r.get("backend", "scalar") == args.backend]
     if args.spec:
         records = [r for r in records
                    if r["spec_digest"].startswith(args.spec)]

@@ -84,7 +84,8 @@ class Network:
         #: monotonic in-flight accounting -- unlike ``self.stats`` these
         #: are never reset at measurement boundaries, so the invariant
         #: guard can check ``injected - delivered == queued + resident``
-        #: at any cycle of a run.
+        #: at any cycle of a run.  The injected count also numbers the
+        #: packets (``Packet.pid``), so ids restart at 0 per network.
         self.packets_injected_total = 0
         self.packets_delivered_total = 0
         self.routers: List[Router] = [
@@ -202,8 +203,9 @@ class Network:
         return len(self.source_queues[node]) < self.config.ni_queue_entries
 
     def inject(self, pkt: Packet, now: int) -> None:
-        """Queue a packet at its source NI."""
+        """Number a packet and queue it at its source NI."""
         self.routing.prepare(pkt)
+        pkt.pid = self.packets_injected_total
         self.packets_injected_total += 1
         self.stats.on_inject(pkt, now)
         trace = self.trace

@@ -10,7 +10,6 @@ DESIGN.md, "Substitutions").
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Optional
 
 
@@ -29,19 +28,12 @@ class PacketClass(enum.IntEnum):
     ACK = 4          # WB-estimator timestamp acknowledgements
 
 
-_packet_ids = itertools.count()
-
-
-def reset_packet_ids() -> None:
-    """Restart packet id numbering (used by tests for determinism)."""
-    global _packet_ids
-    _packet_ids = itertools.count()
-
-
 class Packet:
     """A network packet.
 
     Attributes:
+        pid: Packet id, assigned by :meth:`repro.noc.network.Network.inject`
+            in injection order from 0 per network (-1 until injected).
         klass: Traffic class, see :class:`PacketClass`.
         src: Source router node id.
         dst: Destination router node id.
@@ -80,7 +72,7 @@ class Packet:
         via: Optional[int] = None,
         payload=None,
     ):
-        self.pid = next(_packet_ids)
+        self.pid = -1
         self.klass = klass
         self.src = src
         self.dst = dst

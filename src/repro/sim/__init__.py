@@ -23,20 +23,13 @@ from repro.sim.sweep import SweepGrid, SweepResults, run_sweep
 
 
 def reset_state() -> None:
-    """Reset module-global simulation state between independent runs.
+    """No-op, kept for callers written before the simulator was hermetic.
 
-    The simulator keeps almost all state per-instance; the one
-    process-wide global is the monotonically increasing packet-id
-    counter (``repro.noc.packet``), which makes packet ids depend on
-    every simulation constructed earlier in the process.  Every entry
-    point that runs independent simulations in one process (the sweep
-    engine, the CLI, ``benchmarks/conftest.py``) calls this before each
-    run so seeded simulations are bit-identical no matter what ran
-    before them.
+    The simulator keeps no process-global state: each
+    :class:`~repro.noc.network.Network` numbers its own packets from 0,
+    so a seeded run is bit-identical whatever ran before it in the
+    process, and there is nothing left to reset.
     """
-    from repro.noc.packet import reset_packet_ids
-
-    reset_packet_ids()
 
 
 __all__ = [

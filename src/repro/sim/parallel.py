@@ -10,17 +10,19 @@ sweep only simulates the points whose inputs actually changed.
 
 Design contract (tested in ``tests/test_parallel_sweep.py``):
 
-* **Determinism** -- each point simulates from a fully reset process
-  state (``repro.sim.reset_state``), so its summary depends only on its
-  own spec.  ``SweepResults.data`` is therefore byte-identical across
+* **Determinism** -- the simulator keeps no process-global state
+  (each network numbers its own packets), so a point's summary depends
+  only on its own spec, never on what ran before it in the process.
+  ``SweepResults.data`` is therefore byte-identical across
   ``workers=1``, ``workers=N`` and warm-cache replay, independent of
   worker count or completion order.
 * **Content addressing** -- a cache entry is keyed by the SHA-256 of
-  the canonical point spec (app, scheme, cycles, warmup, seed, sorted
-  config overrides) plus a code-version tag derived from the package
-  sources.  Changing any input -- or the simulator code itself --
-  changes the key and forces re-simulation; nothing is ever
-  invalidated in place.
+  the canonical point spec (app or "+"-joined mix, scheme, cycles,
+  warmup, seed, sorted config overrides) plus a code-version tag
+  derived from the package sources.  Changing any input -- or the
+  simulator code itself -- changes the key and forces re-simulation;
+  nothing is ever invalidated in place.  Points shared by several
+  grids (the paper's Figures 6-8 reuse one) are simulated once.
 * **Fault tolerance** -- every cache entry carries a SHA-256 payload
   digest that is re-verified on read, so a truncated or tampered entry
   is evicted and re-simulated (counted in ``sweep.cache.evictions``).
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import json
@@ -54,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import SweepTelemetry, WorkerTelemetry
-from repro.sim.config import Scheme, make_config
+from repro.sim.config import Scheme, WriteBufferConfig, make_config
 
 #: Bumped when the cached payload layout (not the simulated content)
 #: changes incompatibly.
@@ -124,8 +127,11 @@ def _json_safe(value):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
+    if isinstance(value, WriteBufferConfig):
+        return {type(value).__name__: dataclasses.asdict(value)}
     raise ConfigError(
-        f"override value {value!r} is not cacheable; use scalars or enums"
+        f"override value {value!r} is not cacheable; use scalars, enums "
+        f"or a WriteBufferConfig"
     )
 
 
@@ -135,7 +141,10 @@ class SweepPoint:
 
     Carries everything a worker process needs to reproduce the
     simulation: nothing is closed over, nothing depends on the parent
-    process state.
+    process state.  ``app`` names one application run on every core,
+    or a multi-programmed mix as its "+"-joined application list (the
+    paper's Case 2 is ``"lbm+hmmer+bzip2+libquantum"``), built by
+    :func:`repro.workloads.mixes.mix` with ``seed``.
     """
 
     app: str
@@ -345,7 +354,7 @@ class SweepCheckpoint:
 
 
 def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
-    """Simulate one grid point from a clean process-global state.
+    """Simulate one grid point and return its summary.
 
     Top-level (hence picklable under the ``spawn`` start method) and
     hermetic: the result depends only on ``spec``, never on what ran
@@ -354,9 +363,8 @@ def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
     ``engine.setup``/``engine.simulate`` spans; it observes wall time
     only and never alters the summary.
     """
-    from repro.sim import reset_state
-    from repro.sim.experiment import app_factory
     from repro.sim.simulator import CMPSimulator
+    from repro.workloads.mixes import homogeneous, mix
 
     def span(name):
         if recorder is None:
@@ -364,17 +372,19 @@ def simulate_point(spec: SweepPoint, recorder=None) -> Dict:
         return recorder.span(name, app=spec.app, scheme=spec.scheme.value)
 
     with span("engine.setup"):
-        reset_state()
         config = make_config(spec.scheme, **spec.overrides_dict())
-        workload = app_factory(spec.app, seed=spec.seed)(config)
+        if "+" in spec.app:
+            workload = mix(spec.app.split("+"), config, seed=spec.seed)
+        else:
+            workload = homogeneous(spec.app, config, seed=spec.seed)
         sim = CMPSimulator(config, workload)
     with span("engine.simulate"):
         result = sim.run(spec.cycles, warmup=spec.warmup)
     return result.to_dict()
 
 
-def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool = False,
-                    submit_ts: Optional[float] = None) -> Dict:
+def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool,
+                    submit_ts: float) -> Dict:
     """Worker entry point: one IPC round-trip covers a chunk of points.
 
     Returns ``{"rows": [{"result", "wall_ms"}, ...], "telemetry":
@@ -385,14 +395,12 @@ def _simulate_chunk(specs: Sequence[SweepPoint], telemetry: bool = False,
     time, from which the queue-wait span is derived.
     """
     tel = WorkerTelemetry(submit_ts=submit_ts) if telemetry else None
+    recorder = tel.recorder if tel is not None else None
     t_chunk = time.monotonic()
     out = []
     for spec in specs:
         t0 = time.perf_counter()
-        if tel is not None:
-            result = simulate_point(spec, recorder=tel.recorder)
-        else:
-            result = simulate_point(spec)
+        result = simulate_point(spec, recorder)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if tel is not None:
             tel.point_done(wall_ms)
@@ -542,6 +550,7 @@ def run_points(
     # metrics are recorded here and absorbed at the end, so the merged
     # registry sees identical counter totals whatever the worker count.
     wtel = WorkerTelemetry() if tel is not None else None
+    wrecorder = wtel.recorder if wtel is not None else None
     t_start = time.perf_counter()
     t_mono = time.monotonic()
 
@@ -615,11 +624,7 @@ def run_points(
 
     def run_serially(key: str) -> None:
         t0 = time.perf_counter()
-        if wtel is not None:
-            result = simulate_point(spec_of_key[key],
-                                    recorder=wtel.recorder)
-        else:
-            result = simulate_point(spec_of_key[key])
+        result = simulate_point(spec_of_key[key], wrecorder)
         wall_ms = (time.perf_counter() - t0) * 1e3
         stats.busy_seconds += wall_ms / 1e3
         stats.simulated += 1
@@ -647,39 +652,29 @@ def run_points(
     def run_pool() -> None:
         # ~4 chunks per worker: load-balanced while amortising
         # pickling/IPC over several points per round-trip.
-        # Telemetry-off keeps the historical task arity so test stubs
-        # (and any external monkeypatching) see unchanged signatures.
-        want_tel = tel is not None
-        tel_args = (True,) if want_tel else ()
         chunk_size = max(1, len(misses) // (stats.workers * 4))
-        tasks: List[Tuple] = [
-            (_simulate_chunk,
-             (tuple(spec_of_key[k] for k in chunk),) + tel_args,
-             chunk)
-            for chunk in _chunked(misses, chunk_size)
-        ]
-        stats.chunks = len(tasks)
+        chunks = _chunked(misses, chunk_size)
+        stats.chunks = len(chunks)
         retry: List[str] = []
         # The overall deadline is the sum of the per-point budgets: the
         # pool as a whole never waits longer than ``timeout`` per point.
         deadline = timeout * len(misses) if timeout else None
         executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(stats.workers, len(tasks)),
+            max_workers=min(stats.workers, len(chunks)),
             mp_context=_mp_context(),
         )
-        def submit(executor, fn, args):
+        try:
             # The submit timestamp rides along so the worker can record
             # its queue-wait span (CLOCK_MONOTONIC is system-wide on
             # the platforms we run on, so worker and parent share a
             # timeline).
-            if want_tel:
-                return executor.submit(fn, *args, time.monotonic())
-            return executor.submit(fn, *args)
-
-        try:
             futures = {
-                submit(executor, fn, args): chunk
-                for fn, args, chunk in tasks
+                executor.submit(
+                    _simulate_chunk,
+                    tuple(spec_of_key[k] for k in chunk),
+                    tel is not None, time.monotonic(),
+                ): chunk
+                for chunk in chunks
             }
             for future in concurrent.futures.as_completed(
                     futures, timeout=deadline):

@@ -15,9 +15,9 @@ them so analyses can be re-plotted without re-simulating::
 Execution is delegated to :mod:`repro.sim.parallel`: grid points are
 self-contained picklable :class:`~repro.sim.parallel.SweepPoint` specs
 that can fan out across a process pool and be served from the
-content-addressed result cache.  Every point simulates from a reset
-process state, so ``SweepResults.data`` is byte-identical for any
-worker count and for warm-cache replays.
+content-addressed result cache.  The simulator keeps no
+process-global state, so ``SweepResults.data`` is byte-identical for
+any worker count and for warm-cache replays.
 """
 
 from __future__ import annotations

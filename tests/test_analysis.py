@@ -79,16 +79,9 @@ class TestBreakdown:
         assert b.percentages() == {"network": 0.0, "queuing": 0.0}
 
     def test_normalized_breakdowns(self):
-        class R:
-            def __init__(self, net, queue):
-                self._net, self._q = net, queue
-
-            def latency_breakdown(self):
-                return {"network_latency": self._net,
-                        "bank_queuing_latency": self._q}
-
-        results = {"base": R(40, 60), "better": R(40, 30)}
-        series = normalized_breakdowns(results, "base")
+        breakdowns = {"base": LatencyBreakdown(40, 60),
+                      "better": LatencyBreakdown(40, 30)}
+        series = normalized_breakdowns(breakdowns, "base")
         assert series["base"]["queuing"] == pytest.approx(60.0)
         # Queuing halved relative to baseline.
         assert series["better"]["queuing"] == pytest.approx(30.0)

@@ -17,7 +17,6 @@ the event scheduler must actually skip cycles.
 import pytest
 
 from repro.noc.stats import NetworkStats
-from repro.sim import reset_state
 from repro.sim.config import Scheme, TSBPlacement, make_config
 from repro.sim.simulator import CMPSimulator
 from tests.burst_workload import burst_workload
@@ -49,7 +48,6 @@ def _run(scheme, overrides, scheduler, monkeypatch):
         _ON_DELIVER(stats, pkt, now)
 
     monkeypatch.setattr(NetworkStats, "on_deliver", recording)
-    reset_state()
     config = make_config(scheme, mesh_width=8, capacity_scale=1 / 16,
                          **overrides)
     sim = CMPSimulator(config, burst_workload(config, seed=1),

@@ -268,11 +268,11 @@ class _FlakyPoint:
         self.real = real
         self.calls = 0
 
-    def __call__(self, spec):
+    def __call__(self, spec, recorder):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("transient worker wobble")
-        return self.real(spec)
+        return self.real(spec, recorder)
 
 
 class TestPerPointRetry:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeadlockError, GuardError, GuardViolationError
-from repro.noc.packet import reset_packet_ids
 from repro.obs import (
     EV_GUARD_DEADLOCK, EV_GUARD_VIOLATION, InMemorySink, Observability,
     validate_event,
@@ -34,7 +33,6 @@ SCHEMES = [
 
 
 def _run(scheme, scheduler, guard, cycles=400, warmup=100):
-    reset_packet_ids()
     cfg = small_config(scheme)
     sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                        scheduler=scheduler, guard=guard)
@@ -71,7 +69,6 @@ class TestGuardIsInvisible:
 
 def _sim_with_traffic(scheduler="dense", guard=True):
     """A mid-flight simulator with packets resident in routers."""
-    reset_packet_ids()
     cfg = small_config(Scheme.STTRAM_4TSB)
     sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                        scheduler=scheduler, guard=guard)
@@ -173,7 +170,6 @@ class TestConservationViolations:
 def _deadlocked_sim(scheduler):
     """A simulation whose bank sinks reject every ejection: traffic
     backs up through the routers and forward progress stops."""
-    reset_packet_ids()
     cfg = small_config(Scheme.STTRAM_4TSB)
     guard = GuardConfig(check_period=16, progress_window=300)
     sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
@@ -213,7 +209,6 @@ class TestDeadlockWatchdog:
     def test_idle_simulation_never_trips(self):
         """Quiescence resets the progress clock: an idle network is
         not a deadlock, no matter how long it idles."""
-        reset_packet_ids()
         cfg = small_config(Scheme.STTRAM_4TSB)
         guard = GuardConfig(check_period=16, progress_window=50)
         sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),

@@ -17,7 +17,7 @@ invisible.  These tests pin that down three ways:
 
 import pytest
 
-from repro.noc.packet import Packet, PacketClass, reset_packet_ids
+from repro.noc.packet import Packet, PacketClass
 from repro.noc.router import Router
 from repro.noc.routing import RoutingPolicy
 from repro.noc.topology import LOCAL, Mesh3D
@@ -49,7 +49,6 @@ DATAPATHS = [
 
 def _fingerprint(scheme, scheduler, use_reference_loop,
                  cycles=400, warmup=100):
-    reset_packet_ids()
     cfg = small_config(scheme)
     sim = CMPSimulator(
         cfg, homogeneous("sclust", cfg, seed=5), scheduler=scheduler)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.cache.bank import BankStats
 from repro.cpu.core import CoreStats
-from repro.sim import reset_state
 from repro.sim.config import Scheme, make_config
 from repro.sim.experiment import app_factory
 from repro.sim.simulator import CMPSimulator
@@ -48,7 +47,6 @@ def _count_store_hits(core):
 
 
 def _run(scheme, scheduler, cycles, warmup, seed, overrides):
-    reset_state()
     config = make_config(scheme, **FAST, **overrides)
     workload = app_factory("tpcc", seed=seed)(config)
     sim = CMPSimulator(config, workload, scheduler=scheduler)
@@ -107,7 +105,6 @@ def test_event_matches_dense_field_by_field(seed, scheme, queue):
 def test_full_bank_queues_put_routers_to_sleep(scheme):
     """With one-entry bank queues, refused routers must actually sleep
     (the identity above would hold vacuously if none ever did)."""
-    reset_state()
     config = make_config(scheme, bank_queue_entries=1, **FAST)
     sim = CMPSimulator(config, app_factory("tpcc", seed=3)(config))
     slept = 0

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.noc.packet import reset_packet_ids
 from repro.obs import (
     AccuracySummary, ChromeTraceSink, Event, InMemorySink, JSONLSink,
     MetricsRegistry, Observability, busy_at, percentiles_from_hist,
@@ -169,7 +168,6 @@ class TestSchema:
 
 def _instrumented(scheme=Scheme.STTRAM_4TSB_WB, cycles=600, warmup=0,
                   scheduler="event", epoch=128, seed=3, sink=None):
-    reset_packet_ids()
     config = small_config(scheme)
     sim = CMPSimulator(config, homogeneous("tpcc", config, seed=seed),
                        scheduler=scheduler)
@@ -255,7 +253,6 @@ class TestGroundTruthIntervals:
     def test_recorded_without_observability(self):
         """Service intervals are always on (analysis needs ground truth
         even for uninstrumented runs)."""
-        reset_packet_ids()
         config = small_config()
         sim = CMPSimulator(config, homogeneous("tpcc", config, seed=3))
         sim.run(400, warmup=0)

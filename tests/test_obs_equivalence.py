@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.noc.packet import reset_packet_ids
 from repro.obs import InMemorySink, Observability
 from repro.obs.events import SCHEDULER_KINDS
 from repro.sim.simulator import CMPSimulator
@@ -28,7 +27,6 @@ WARMUP = 150
 
 
 def _burst_run(scheduler, instrument=True, seed=5):
-    reset_packet_ids()
     config = small_config()
     sim = CMPSimulator(config, burst_workload(config, seed=seed),
                        scheduler=scheduler)
@@ -113,7 +111,6 @@ class TestObservabilityEquivalence:
     def test_homogeneous_app_stream_equivalence(self):
         """Same property on a cache-realistic workload (tpcc)."""
         def run(scheduler):
-            reset_packet_ids()
             config = small_config()
             sim = CMPSimulator(
                 config, homogeneous("tpcc", config, seed=11),

@@ -3,22 +3,32 @@
 import pytest
 
 from repro.core.combining import FlitCombiner
-from repro.noc.packet import Packet, PacketClass, reset_packet_ids
+from repro.noc.packet import Packet, PacketClass
 from repro.cpu.trace import (
     IDLE_GAP, IdleStream, ScriptedStream, StridedStream, bank_block,
 )
 
+from tests.test_network import build_network
+
 
 class TestPacket:
     def test_ids_are_unique(self):
+        _, _, net = build_network()
         a = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
         b = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
+        net.inject(a, 0)
+        net.inject(b, 0)
         assert a.pid != b.pid
 
-    def test_reset_ids(self):
-        reset_packet_ids()
-        p = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
-        assert p.pid == 0
+    def test_each_network_numbers_from_zero(self):
+        """Ids belong to the network that injects the packet, so a new
+        network starts at 0 whatever was numbered before it."""
+        for _ in range(2):
+            _, _, net = build_network()
+            p = Packet(PacketClass.REQUEST, 0, 1, 1, inject_cycle=0)
+            assert p.pid == -1
+            net.inject(p, 0)
+            assert p.pid == 0
 
     def test_latency(self):
         p = Packet(PacketClass.RESPONSE, 0, 1, 8, inject_cycle=10)

@@ -20,12 +20,17 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim import parallel
-from repro.sim.config import Scheme, TSBPlacement, make_config
+from repro.sim.config import (
+    Scheme, TSBPlacement, WriteBufferConfig, make_config, with_write_buffer,
+)
 from repro.sim.experiment import app_factory, run_scheme
 from repro.sim.parallel import (
     SweepCache, SweepPoint, SweepRunStats, resolve_workers, run_points,
 )
+from repro.sim.guard import GuardConfig
+from repro.sim.simulator import CMPSimulator
 from repro.sim.sweep import SweepGrid, run_sweep
+from repro.workloads.mixes import CASE2_APPS, case2, homogeneous
 
 FAST = {"mesh_width": 4, "capacity_scale": 1 / 64}
 SCHEMES = (Scheme.SRAM_64TSB, Scheme.STTRAM_4TSB_WB)
@@ -143,6 +148,43 @@ class TestSweepPoint:
         specs = grid.point_specs()
         assert [(s.app, s.scheme) for s in specs] == list(grid.points())
         assert all(s.cycles == 250 and s.warmup == 100 for s in specs)
+
+
+class TestPointForms:
+    """Mixes and the BUFF-N write buffer as plain sweep points."""
+
+    def direct(self, config, workload):
+        return CMPSimulator(config, workload).run(300, warmup=100).to_dict()
+
+    def test_joined_app_list_runs_the_mix(self):
+        point = SweepPoint.build("+".join(CASE2_APPS),
+                                 Scheme.STTRAM_4TSB_WB, 300, 100, 1, FAST)
+        cfg = make_config(Scheme.STTRAM_4TSB_WB, **FAST)
+        summary = parallel.simulate_point(point)
+        assert summary == self.direct(cfg, case2(cfg))
+        assert sorted(summary["ipc_by_app"]) == sorted(CASE2_APPS)
+
+    def test_write_buffer_override_matches_with_write_buffer(self):
+        point = SweepPoint.build(
+            "tpcc", Scheme.STTRAM_64TSB, 300, 100, 1,
+            dict(FAST, write_buffer=WriteBufferConfig(20)))
+        cfg = with_write_buffer(make_config(Scheme.STTRAM_64TSB, **FAST))
+        summary = parallel.simulate_point(point)
+        assert summary == self.direct(cfg, homogeneous("tpcc", cfg))
+        plain = SweepPoint.build("tpcc", Scheme.STTRAM_64TSB, 300, 100, 1,
+                                 FAST)
+        assert point.key() != plain.key()
+        assert summary != parallel.simulate_point(plain)
+        json.dumps(point.canonical())  # JSON-stable
+
+    @pytest.mark.parametrize("value", [
+        (1, 2), [20], {"entries": 20}, GuardConfig(),
+    ])
+    def test_other_non_scalar_overrides_rejected(self, value):
+        point = SweepPoint.build("tpcc", Scheme.SRAM_64TSB, 300, 100, 1,
+                                 {"write_buffer": value})
+        with pytest.raises(ConfigError):
+            point.key()
 
 
 class TestResolveWorkers:
@@ -280,7 +322,7 @@ class TestCacheCorrectness:
 # ----------------------------------------------------------------------
 
 
-def _exploding_chunk(specs):  # top-level: must pickle into workers
+def _exploding_chunk(specs, telemetry, submit_ts):  # must pickle
     raise RuntimeError("injected worker crash")
 
 
@@ -321,7 +363,7 @@ class TestFaultTolerance:
         assert len(results) == 2
 
     def test_genuine_bug_raises_after_retry(self, monkeypatch):
-        def bad_point(spec):
+        def bad_point(spec, recorder):
             raise ValueError("real simulation bug")
 
         monkeypatch.setattr(parallel, "_simulate_chunk",

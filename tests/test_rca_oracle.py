@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.estimators import RegionalCongestionEstimator
-from repro.noc.packet import reset_packet_ids
 from repro.noc.topology import LOCAL, N_PORTS
 from repro.resilience import FaultConfig
 from repro.sim.config import Scheme, make_config
@@ -120,7 +119,6 @@ class Shadow:
 
 
 def _sim(width, seed, period=1, faults=None, scheduler="dense"):
-    reset_packet_ids()
     cfg = make_config(Scheme.STTRAM_4TSB_RCA, mesh_width=width,
                       capacity_scale=1 / 64, rca_update_period=period)
     return CMPSimulator(cfg, homogeneous("tpcc", cfg, seed=seed),

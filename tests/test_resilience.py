@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import FaultConfigError
-from repro.noc.packet import Packet, PacketClass, reset_packet_ids
+from repro.noc.packet import Packet, PacketClass
 from repro.obs import (
     EV_FAULT_BANK, EV_FAULT_CRC, EV_FAULT_REDIRECT, EV_FAULT_RETRANSMIT,
     EV_FAULT_TSB, InMemorySink, Observability, validate_event,
@@ -26,7 +26,6 @@ from tests.conftest import small_config
 
 def _run(faults, scheduler="event", scheme=Scheme.STTRAM_4TSB,
          cycles=600, warmup=200, obs=None):
-    reset_packet_ids()
     cfg = small_config(scheme)
     sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                        scheduler=scheduler, guard=True, faults=faults)
@@ -241,14 +240,12 @@ class TestFaultConfigValidation:
     def test_default_config_injects_nothing(self):
         faults = FaultConfig()
         assert not faults.any_faults()
-        reset_packet_ids()
         cfg = small_config(Scheme.STTRAM_4TSB)
         sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                            faults=faults)
         assert sim.fault_plane is None  # no hooks installed
 
     def test_plane_validates_at_bind(self):
-        reset_packet_ids()
         cfg = small_config(Scheme.STTRAM_4TSB)
         sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5))
         with pytest.raises(FaultConfigError):
@@ -262,12 +259,10 @@ class TestFaultsAreInert:
 
     @pytest.mark.parametrize("scheduler", ["dense", "event"])
     def test_none_faults_identical(self, scheduler):
-        reset_packet_ids()
         cfg = small_config(Scheme.STTRAM_4TSB_WB)
         sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                            scheduler=scheduler)
         bare = sim.run(400, warmup=100)
-        reset_packet_ids()
         cfg = small_config(Scheme.STTRAM_4TSB_WB)
         sim = CMPSimulator(cfg, homogeneous("sclust", cfg, seed=5),
                            scheduler=scheduler, guard=True,

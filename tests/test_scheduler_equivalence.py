@@ -14,7 +14,6 @@ on identical seeded workloads over a small 16-node mesh and compare
 
 import pytest
 
-from repro.noc.packet import reset_packet_ids
 from repro.sim.config import Scheme
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.mixes import homogeneous, mix
@@ -22,9 +21,6 @@ from tests.conftest import small_config
 
 
 def _run(config, make_workload, scheduler, cycles=600, warmup=120):
-    # Packet ids are process-global; reset so both runs see identical
-    # streams (see repro.sim.reset_state).
-    reset_packet_ids()
     sim = CMPSimulator(config, make_workload(config), scheduler=scheduler)
     result = sim.run(cycles, warmup=warmup)
     return sim, result
@@ -93,7 +89,6 @@ class TestSchedulerEquivalence:
             streams += [IdleStream() for _ in range(config.n_cores - 1)]
             return Workload(streams, ["s"] * config.n_cores, "s")
 
-        reset_packet_ids()
         sim = CMPSimulator(cfg, make_workload(cfg), scheduler="event",
                            prewarm=False)
         sim.run(4_000, warmup=0)

@@ -572,14 +572,6 @@ class TestCLI:
         assert "run_id" in out
         assert len(out.strip().splitlines()) == 3  # header + 2 rows
 
-    def test_ledger_list_filters(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.seed_ledger(tmp_path)
-        assert main(["ledger", "--path", path,
-                     "--backend", "batch"]) == 0
-        assert "no matching runs" in capsys.readouterr().out
-
     def test_ledger_diff_and_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -605,7 +597,7 @@ class TestCLI:
             self, tmp_path, capsys):
         """Records written while a ``batch`` backend existed carry
         ``backend``/``lane_groups``/``lanes_packed``; they must still
-        list, filter, validate and diff next to current records."""
+        list, validate and diff next to current records."""
         from repro.cli import main
 
         old = {
@@ -628,9 +620,6 @@ class TestCLI:
         assert main(["ledger", "--path", path]) == 0
         out = capsys.readouterr().out
         assert old["run_id"] in out and new["run_id"] in out
-        assert main(["ledger", "--path", path, "--backend", "batch"]) == 0
-        out = capsys.readouterr().out
-        assert old["run_id"] in out and new["run_id"] not in out
         assert main(["ledger", "validate", "--path", path]) == 0
         assert main(["ledger", "diff", "-2", "-1", "--path", path]) == 0
         assert "points_per_sec" in capsys.readouterr().out
